@@ -691,8 +691,8 @@ fn serve_one(space: &DataSpace, request: &ServeRequest) -> Result<String, XdmErr
             Ok(xmlparse::serialize_sequence(graph.instances()))
         }
         ServeRequest::Run { program } => {
-            // Streamed reply path: an eligible expression body comes
-            // back lazy and is serialized as the pipeline drains, so a
+            // Streamed reply path: a FLWOR expression body comes back
+            // lazy and is serialized as the pipeline drains, so a
             // paging/probing program never materializes the tuples an
             // early exit skips. Deferred evaluation errors (mid-stream
             // source faults, budget expiry) surface through the

@@ -165,55 +165,58 @@ fn main() {
 
 /// E17: pipelined lazy evaluation ablation. Two early-exit read
 /// shapes over the ETL employee table — a `fn:subsequence` page and a
-/// `fn:exists` probe — run lazily (streamed FLWOR tuples, early-exit
-/// interception) and eagerly (`Engine::set_lazy(false)`) *in the same
-/// session*, so both arms share the warmed materialization caches and
-/// differ only in evaluation order. The queries deliberately use
-/// plain construction and `fn:contains` predicates so neither the
-/// pushdown nor the join/batch rewrites claim them — the ablation
-/// isolates streaming. Serialization is asserted byte-identical
-/// between the arms on every run, and the `tuples_pulled` counter
-/// must stay below the table size (proof the stream engaged and
-/// exited early rather than draining).
+/// `fn:exists` probe — run streamed (the consumer pulls FLWOR tuples
+/// and exits early) and let-forced (`let $all := (FLWOR) return
+/// consumer($all)`, which drains the same pipeline into a variable
+/// first) *in the same session*, so both arms share the warmed
+/// materialization caches and differ only in how far the pipeline is
+/// pulled. The queries deliberately use plain construction and
+/// `fn:contains` predicates so neither the pushdown nor the
+/// join/batch rewrites fire — the ablation isolates streaming.
+/// Serialization is asserted byte-identical between the arms on every
+/// run, and the streamed arm's `tuples_pulled` counter must stay below
+/// the table size (proof the stream exited early rather than
+/// draining).
 fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
     let sizes: &[i64] = if full { &[1000, 5000, 10000] } else { &[200, 1000] };
     const NS: &[(&str, &str)] = &[("ens1", "ld:hr/EMPLOYEE")];
-    // A page of 10 constructed rows starting at position 2: the lazy
-    // arm pulls 11 tuples and stops; the eager arm builds all n rows
-    // first and then slices.
-    const PAGE: &str = "fn:subsequence(for $e in ens1:EMPLOYEE() \
+    // A page of 10 constructed rows starting at position 2: the
+    // streamed arm pulls 11 tuples and stops; the forced arm builds all
+    // n rows first and then slices.
+    const ROWS: &str = "for $e in ens1:EMPLOYEE() \
          where fn:contains(fn:string($e/Name), 'First') \
          return <row><id>{fn:data($e/EmployeeID)}</id>\
          <name>{fn:data($e/Name)}</name>\
-         <dept>{fn:data($e/DeptNo)}</dept></row>, 2, 10)";
+         <dept>{fn:data($e/DeptNo)}</dept></row>";
     // An existence probe whose first (and only) match is row 2: the
-    // lazy arm stops after two tuples.
-    const PROBE: &str = "fn:exists(for $e in ens1:EMPLOYEE() \
+    // streamed arm stops after two tuples.
+    const MATCH: &str = "for $e in ens1:EMPLOYEE() \
          where fn:contains(fn:string($e/Name), 'First2 ') \
-         return <row>{fn:data($e/Name)}</row>)";
+         return <row>{fn:data($e/Name)}</row>";
     let mut rows = Vec::new();
     for &n in sizes {
         let f = etl_space(n);
         let engine = f.space.engine();
-        for (workload, query) in [("page", PAGE), ("probe", PROBE)] {
-            let run = |lazy: bool| {
-                engine.set_lazy(lazy);
-                let out = engine.eval_expr_str(query, NS).expect("E17 query");
-                engine.set_lazy(true);
-                out
-            };
+        // Each consumer wraps its sequence operand at `#`.
+        for (workload, seq, consumer) in [
+            ("page", ROWS, "fn:subsequence(#, 2, 10)"),
+            ("probe", MATCH, "fn:exists(#)"),
+        ] {
+            let streamed = consumer.replace('#', seq);
+            let forced = format!("let $all := ({seq}) return {}", consumer.replace('#', "$all"));
+            let run = |query: &str| engine.eval_expr_str(query, NS).expect("E17 query");
             // Warm the materialization caches and prove equivalence.
-            let (lazy_out, eager_out) = (run(true), run(false));
+            let (lazy_out, eager_out) = (run(&streamed), run(&forced));
             assert_eq!(
                 xmlparse::serialize_sequence(&lazy_out),
                 xmlparse::serialize_sequence(&eager_out),
-                "lazy/eager must serialize byte-identically ({workload}, n={n})"
+                "streamed/forced must serialize byte-identically ({workload}, n={n})"
             );
             drop((lazy_out, eager_out));
-            // One counted lazy run: the stream must have engaged and
-            // stopped well short of the table.
+            // One counted streamed run: the stream must have engaged
+            // and stopped well short of the table.
             engine.reset_opt_stats();
-            run(true);
+            run(&streamed);
             let pulled = engine.opt_stats().tuples_pulled;
             assert!(
                 pulled >= 1 && pulled < n as u64,
@@ -221,10 +224,10 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
                  pulled={pulled}"
             );
             let lazy_secs = median_secs(reps, || {
-                run(true);
+                run(&streamed);
             });
             let eager_secs = median_secs(reps, || {
-                run(false);
+                run(&forced);
             });
             let speedup = eager_secs / lazy_secs;
             if full && n >= 5000 {
@@ -246,7 +249,7 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
     }
     r.table(
         "E17",
-        "E17 pipelined lazy evaluation (paged read + exists probe, lazy vs eager)",
+        "E17 pipelined lazy evaluation (paged read + exists probe, streamed vs let-forced)",
         &[
             "rows",
             "workload",

@@ -109,8 +109,8 @@ impl Xqse {
         }
     }
 
-    /// [`Xqse::run_with_env`], but an expression body eligible for the
-    /// pull pipeline comes back as a **lazy** sequence: tuples are
+    /// [`Xqse::run_with_env`], but a FLWOR expression body comes back
+    /// as a **lazy** sequence: tuples are
     /// produced as the caller consumes the result (fallible Sequence
     /// API — `try_item`, `into_forced`, or a streaming serializer), so
     /// paging/probing consumers and incremental reply paths stop the

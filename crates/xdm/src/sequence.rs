@@ -365,6 +365,8 @@ impl Sequence {
     pub fn into_items(self) -> Vec<Item> {
         let rc = match self.repr {
             Repr::Eager(v) => v,
+            // The lazy handle drops at the end of this arm; if it was
+            // the only one, the forced buffer ends up uniquely owned.
             Repr::Lazy(l) => l.forced_quiet().clone(),
         };
         Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone())
@@ -387,24 +389,29 @@ impl Sequence {
         if other.is_empty() {
             return;
         }
-        let buf = self.buf().clone();
-        let mut buf = match Rc::try_unwrap(buf) {
-            Ok(v) => v,
-            Err(rc) => (*rc).clone(),
-        };
-        buf.extend(other.into_items());
-        self.repr = Repr::Eager(Rc::new(buf));
+        self.make_eager();
+        if let Repr::Eager(v) = &mut self.repr {
+            // Copies only if the buffer is shared: a uniquely owned
+            // accumulator grows in place.
+            Rc::make_mut(v).extend(other.into_items());
+        }
     }
 
     /// Push a single item.
     pub fn push(&mut self, item: Item) {
+        self.make_eager();
         if let Repr::Eager(v) = &mut self.repr {
             Rc::make_mut(v).push(item);
-            return;
         }
-        let mut buf = (**self.buf()).clone();
-        buf.push(item);
-        self.repr = Repr::Eager(Rc::new(buf));
+    }
+
+    /// Replace a lazy repr by its forced buffer. Dropping a sole lazy
+    /// handle releases the buffer's other reference, so it is then
+    /// uniquely owned.
+    fn make_eager(&mut self) {
+        if let Repr::Lazy(l) = &self.repr {
+            self.repr = Repr::Eager(l.forced_quiet().clone());
+        }
     }
 
     /// Concatenate two sequences.
@@ -698,6 +705,43 @@ mod tests {
         // Two atomics → FORG0006, decided after two pulls.
         assert!(s.effective_boolean().is_err());
         assert_eq!(pulls.get(), 2);
+    }
+
+    #[test]
+    fn extend_grows_a_uniquely_owned_accumulator_in_place() {
+        let mut buf = Vec::with_capacity(64);
+        buf.push(Item::integer(0));
+        let mut acc = Sequence::from_items(buf);
+        let ptr = acc.items().as_ptr();
+        for i in 1..32 {
+            acc.extend(Sequence::from_items(vec![Item::integer(i), Item::integer(-i)]));
+        }
+        assert_eq!(acc.len(), 63);
+        assert_eq!(acc.items().as_ptr(), ptr, "extend copied the accumulator");
+        acc.push(Item::integer(99));
+        assert_eq!(acc.items().as_ptr(), ptr, "push copied the accumulator");
+
+        // A shared buffer is copied once, never written through.
+        let shared = acc.clone();
+        acc.extend(Sequence::one(Item::integer(7)));
+        assert_eq!(shared.len(), 64);
+        assert_eq!(acc.len(), 65);
+    }
+
+    #[test]
+    fn into_items_and_push_take_a_sole_lazy_buffer_without_copying() {
+        let (s, _) = counting(3, None);
+        let forced = s.clone().into_forced().unwrap();
+        drop(forced);
+        let ptr = s.items().as_ptr();
+        assert_eq!(s.clone().into_items().len(), 3, "shared: copied");
+        let items = s.into_items();
+        assert_eq!(items.as_ptr(), ptr, "sole handle: moved");
+
+        let (mut s, _) = counting(2, None);
+        s.push(Item::integer(9));
+        assert!(!s.is_lazy());
+        assert_eq!(s.len(), 3);
     }
 
     #[test]

@@ -179,16 +179,16 @@ pub struct OptStats {
     /// Intern-table lookups that found an existing symbol (QName
     /// parts and repeated text/attribute values share one allocation).
     pub interned_hits: u64,
-    /// FLWOR tuples advanced through the streaming pipeline (one per
-    /// pull, whether or not the tuple survived its `where` filters).
+    /// FLWOR tuples the clause pipeline produced, drained or streamed
+    /// (each one reached the `return` clause).
     pub tuples_pulled: u64,
     /// Streams abandoned before exhaustion — an early-exit consumer
     /// (`exists`, `subsequence`, a positional predicate, a quantifier)
     /// decided its answer without draining the source.
     pub early_exits: u64,
     /// Source items an abandoned stream never materialized into
-    /// tuples: work the eager evaluator would have done and the
-    /// pipelined one skipped.
+    /// tuples: work a full drain would have done and the early exit
+    /// skipped.
     pub items_never_built: u64,
 }
 
@@ -470,12 +470,6 @@ struct EngineInner {
     /// restore the copy-always baseline for the E16 ablation and the
     /// CI kill-switch arm.
     graft: Rc<Cell<bool>>,
-    /// Whether the evaluator may stream FLWOR tuples lazily (pipelined
-    /// pull evaluation with early exits). Shared (`Rc`) so streams in
-    /// flight observe toggles live; `XQSE_DISABLE_LAZY=1` /
-    /// [`Engine::set_lazy`] restore fully eager evaluation for the
-    /// E17 ablation and the lazy CI kill-switch arm.
-    lazy: Rc<Cell<bool>>,
     /// Baseline snapshot of this thread's XDM construction counters,
     /// taken at engine creation (and on [`Engine::reset_opt_stats`]).
     /// [`Engine::opt_stats`] reports the delta since this baseline —
@@ -539,12 +533,6 @@ impl Engine {
                 // zero-copy CI kill-switch arm.
                 graft: Rc::new(Cell::new(
                     !matches!(std::env::var("XQSE_DISABLE_GRAFT").as_deref(), Ok("1")),
-                )),
-                // `XQSE_DISABLE_LAZY=1` restores fully eager FLWOR
-                // evaluation — the E17 ablation and the pipelined-lazy CI
-                // kill-switch arm.
-                lazy: Rc::new(Cell::new(
-                    !matches!(std::env::var("XQSE_DISABLE_LAZY").as_deref(), Ok("1")),
                 )),
                 xdm_base: Cell::new(xdm::xdm_stats()),
             }),
@@ -830,27 +818,6 @@ impl Engine {
     /// A shared handle on the graft flag (captured by the evaluator).
     pub fn graft_handle(&self) -> Rc<Cell<bool>> {
         self.inner.graft.clone()
-    }
-
-    /// Whether FLWOR evaluation may stream tuples lazily (pipelined
-    /// pull evaluation with early-exit consumers). Independent of the
-    /// umbrella optimize flag: laziness is an evaluation-model
-    /// property, not a query rewrite, and the dual-mode CI arms
-    /// toggle it separately.
-    pub fn lazy_enabled(&self) -> bool {
-        self.inner.lazy.get()
-    }
-
-    /// Toggle pipelined lazy evaluation (the E17 ablation and the
-    /// `XQSE_DISABLE_LAZY=1` CI arm restore the materialize-everything
-    /// baseline through this).
-    pub fn set_lazy(&self, on: bool) {
-        self.inner.lazy.set(on);
-    }
-
-    /// A shared handle on the lazy flag (captured by the evaluator).
-    pub fn lazy_handle(&self) -> Rc<Cell<bool>> {
-        self.inner.lazy.clone()
     }
 
     /// Advertise a pushdown capability for a registered arity-0 read
@@ -1253,16 +1220,15 @@ impl Engine {
     }
 
     /// Like [`Engine::eval_query`], but the top-level result may be
-    /// **lazy**: when the body is an eligible FLWOR chain, the
+    /// **lazy**: when the body is a FLWOR, the
     /// returned sequence is a live pull stream, and the caller drains
     /// it through the fallible API (`Sequence::try_item`) — the
     /// streaming serializers in `xqsh` and the serving pool do exactly
     /// that, emitting output while tuples are still being produced.
     /// Mid-stream errors (including budget expiry charged per pulled
     /// tuple) surface from the drain, so callers of this entry MUST
-    /// consume the result fallibly. Everything else — ineligible
-    /// bodies, the kill switch, non-expression bodies — degrades to
-    /// the eager [`Engine::eval_query`] result.
+    /// consume the result fallibly. Every other body degrades to the
+    /// eager [`Engine::eval_query`] result.
     pub fn eval_query_lazy(&self, src: &str) -> XdmResult<Sequence> {
         if self.plan_caching_enabled() {
             let pq = self.prepare(src)?;
@@ -1273,7 +1239,7 @@ impl Engine {
         match &module.body {
             QueryBody::Expr(e) => {
                 let mut env = Env::new();
-                Evaluator::new(self).eval_stream(e, &mut env)
+                Evaluator::new(self).eval_lazy(e, &mut env)
             }
             QueryBody::None => Ok(Sequence::empty()),
             QueryBody::Block(_) => Err(XdmError::new(
@@ -1291,8 +1257,8 @@ impl Engine {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         match (&pq.folded_body, &pq.module.body) {
-            (Some(e), _) => Evaluator::new(self).eval_stream(e, env),
-            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval_stream(e, env),
+            (Some(e), _) => Evaluator::new(self).eval_lazy(e, env),
+            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval_lazy(e, env),
             (None, QueryBody::None) => Ok(Sequence::empty()),
             (None, QueryBody::Block(_)) => Err(XdmError::new(
                 ErrorCode::XPST0003,

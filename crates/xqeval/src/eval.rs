@@ -158,85 +158,35 @@ pub struct JoinCacheEntry {
     pub stamp: CacheStamp,
 }
 
-type JoinIndex = JoinCacheEntry;
-
 impl<'e> Evaluator<'e> {
     /// Create an evaluator over an engine.
     pub fn new(engine: &'e Engine) -> Evaluator<'e> {
         Evaluator { engine }
     }
 
-    /// Evaluate an expression, allowing a **lazy** result: an eligible
-    /// top-level FLWOR chain comes back as a pull stream whose tuples
-    /// are produced on demand (see `crate::stream`). This is the
-    /// engine's streaming entry point (`Engine::eval_query_lazy`);
-    /// callers must consume the result through the fallible Sequence
-    /// API (`try_item` / `into_forced`) so deferred errors surface.
-    pub fn eval_stream(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        self.eval_lazy(expr, env)
+    /// The engine this evaluator runs on.
+    pub(crate) fn engine(&self) -> &'e Engine {
+        self.engine
     }
 
-    /// Like [`Evaluator::eval`], but an eligible FLWOR chain is
-    /// returned as a lazy sequence instead of being materialized.
-    /// Everything else falls through to strict evaluation, so the
-    /// result is lazy *only* for the one shape the stream understands
-    /// — the invariant that `eval` itself never returns a lazy
-    /// sequence is what keeps the legacy infallible accessors safe.
+    /// Like [`Evaluator::eval`], but a FLWOR comes back as a lazy pull
+    /// stream (see `crate::stream`) — the streaming entry point and
+    /// what the early-exit consumers pull from. Callers must consume
+    /// the result through the fallible Sequence API so deferred errors
+    /// surface; `eval` itself never returns a lazy sequence. Under an
+    /// open pending-update list the FLWOR is drained in place: a
+    /// stream's forked context carries no update list.
     pub(crate) fn eval_lazy(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        if let Expr::Flwor { clauses, ret } = expr {
-            if self.flwor_streamable(clauses, env) {
+        match expr {
+            Expr::Flwor { clauses, ret } if env.pul.is_none() => {
                 // Mirror eval()'s per-step fuel charge for the
                 // expression node itself; per-tuple charges follow as
                 // the stream is pulled.
                 self.engine.budget_step()?;
-                return Ok(crate::stream::flwor_stream(self.engine, clauses, ret, env));
+                Ok(crate::stream::flwor_stream(self.engine, clauses, ret, env))
             }
+            _ => self.eval(expr, env),
         }
-        self.eval(expr, env)
-    }
-
-    /// Can this clause chain run on the pull pipeline? Requires the
-    /// lazy engine to be enabled, expression context (no open
-    /// pending-update list), no `order by` (a sort is a full barrier),
-    /// and that none of the eager rewrites (predicate pushdown,
-    /// hash-join, batched source access) would claim a `for`/`where`
-    /// pair — those skip work outright, which beats deferring it, and
-    /// the kill switch must not change when they fire.
-    fn flwor_streamable(&self, clauses: &[FlworClause], env: &Env) -> bool {
-        if !self.engine.lazy_enabled() || env.pul.is_some() {
-            return false;
-        }
-        for (i, c) in clauses.iter().enumerate() {
-            match c {
-                FlworClause::OrderBy(_) => return false,
-                FlworClause::For { var, pos, source } => {
-                    let next = clauses.get(i + 1);
-                    if self.engine.optimize_enabled()
-                        && pos.is_none()
-                        && self.detect_pushdown(var, source, next).is_some()
-                    {
-                        return false;
-                    }
-                    if pos.is_none()
-                        && self.engine.join_rewrite_enabled()
-                        && self.detect_join(var, source, next).is_some()
-                    {
-                        return false;
-                    }
-                    if self.engine.optimize_enabled() && self.engine.batch_enabled() {
-                        if let Expr::FunctionCall { name, args } = source {
-                            if args.len() == 1
-                                && self.engine.batchable(name, 1).is_some()
-                            {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                FlworClause::Let { .. } | FlworClause::Where(_) => {}
-            }
-        }
-        true
     }
 
     /// Evaluate an expression to a sequence.
@@ -410,7 +360,7 @@ impl<'e> Evaluator<'e> {
                     self.eval(e, env)
                 }
             }
-            Expr::Flwor { clauses, ret } => self.eval_flwor(clauses, ret, env),
+            Expr::Flwor { clauses, ret } => crate::stream::drain(self, clauses, ret, env),
             Expr::Quantified { quantifier, bindings, satisfies } => {
                 self.eval_quantified(*quantifier, bindings, satisfies, env)
             }
@@ -435,12 +385,9 @@ impl<'e> Evaluator<'e> {
             }
             Expr::Path { start, steps } => self.eval_path(start, steps, env),
             Expr::Filter { base, predicates } => {
-                if self.engine.lazy_enabled() {
-                    if let Some((first, rest)) = predicates.split_first() {
-                        if let Some(win) = positional_window(first) {
-                            return self
-                                .streaming_positional_filter(base, win, rest, env);
-                        }
+                if let Some((first, rest)) = predicates.split_first() {
+                    if let Some(win) = positional_window(first) {
+                        return self.streaming_positional_filter(base, win, rest, env);
                     }
                 }
                 let mut seq = self.eval(base, env)?;
@@ -729,324 +676,15 @@ impl<'e> Evaluator<'e> {
 
     // ------------------------------------------------------------ FLWOR
 
-    fn eval_flwor(
-        &self,
-        clauses: &[FlworClause],
-        ret: &Expr,
-        env: &mut Env,
-    ) -> XdmResult<Sequence> {
-        // A "tuple" is a set of variable bindings produced by the
-        // clause pipeline.
-        type Tuple = Vec<(QName, Sequence)>;
-        let mut tuples: Vec<Tuple> = vec![Vec::new()];
-
-        let with_tuple = |this: &Self,
-                          env: &mut Env,
-                          tuple: &Tuple,
-                          e: &Expr|
-         -> XdmResult<Sequence> {
-            env.push_scope();
-            for (n, v) in tuple {
-                env.bind(n.clone(), v.clone());
-            }
-            let out = this.eval(e, env);
-            env.pop_scope();
-            out
-        };
-
-        let mut i = 0usize;
-        while i < clauses.len() {
-            match &clauses[i] {
-                FlworClause::For { var, pos, source } => {
-                    // Predicate pushdown (§II.B "push computation to
-                    // the sources"): `for $v in src() where $v/COL eq K`
-                    // over a capability-bearing source becomes one
-                    // indexed point-select per outer tuple — the whole
-                    // table is never materialized in the middle tier.
-                    if self.engine.optimize_enabled() && pos.is_none() {
-                        if let Some(pd) =
-                            self.detect_pushdown(var, source, clauses.get(i + 1))
-                        {
-                            // Every outer key must be a pushable
-                            // singleton; otherwise the rewrite is
-                            // abandoned wholesale so normal evaluation
-                            // preserves error semantics exactly.
-                            let mut keys: Vec<(AtomicValue, String)> =
-                                Vec::with_capacity(tuples.len());
-                            let mut pushable = true;
-                            for tuple in &tuples {
-                                let k = with_tuple(self, env, tuple, pd.key_expr)?;
-                                let atoms = k.atomized();
-                                let lex = match &atoms[..] {
-                                    [a] => pushdown_key(pd.class, a),
-                                    _ => None,
-                                };
-                                match lex {
-                                    Some(lex) => {
-                                        let a = atoms
-                                            .into_iter()
-                                            .next()
-                                            .expect("singleton checked");
-                                        keys.push((a, lex));
-                                    }
-                                    None => {
-                                        pushable = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if pushable {
-                                let opt = self.engine.opt_counters();
-                                crate::engine::OptCounters::bump(
-                                    &opt.pushdown_rewrites,
-                                );
-                                let mut next = Vec::new();
-                                for (tuple, (key_atom, lex)) in
-                                    tuples.iter().zip(&keys)
-                                {
-                                    let candidates =
-                                        (pd.cap.select)(env, &pd.col, lex)?;
-                                    for item in candidates.iter() {
-                                        // Re-verify each candidate under
-                                        // XQuery comparison semantics:
-                                        // the index may only narrow,
-                                        // never decide.
-                                        let keyed = self.eval_steps_from(
-                                            item.clone(),
-                                            &pd.key_steps,
-                                            env,
-                                        )?;
-                                        let mut hit = false;
-                                        for a in keyed.atomized().iter() {
-                                            if general_pair_matches(
-                                                GeneralComp::Eq,
-                                                a,
-                                                key_atom,
-                                            )? {
-                                                hit = true;
-                                                break;
-                                            }
-                                        }
-                                        if hit {
-                                            let mut t = tuple.clone();
-                                            t.push((
-                                                var.clone(),
-                                                Sequence::one(item.clone()),
-                                            ));
-                                            next.push(t);
-                                        }
-                                    }
-                                }
-                                tuples = next;
-                                i += 2; // consumed the Where too
-                                continue;
-                            }
-                        }
-                    }
-                    // Hash-join rewrite: `for $v in E where key($v) eq K`
-                    // with E independent of all in-scope variables.
-                    // Gated on `join_rewrite_enabled`, NOT on
-                    // `optimize_enabled`: the rewrite predates the
-                    // pushdown/versioning layer, and the kill-switch
-                    // must restore exactly that baseline. (With
-                    // optimization off, entries are epoch-stamped
-                    // below, so invalidation is the baseline's blanket
-                    // any-write policy.) Sequential XQueryP runs and
-                    // the E11 ablation turn the rewrite itself off via
-                    // `Engine::set_join_rewrite(false)`.
-                    let join = if pos.is_none()
-                        && self.engine.join_rewrite_enabled()
-                    {
-                        self.detect_join(var, source, clauses.get(i + 1))
-                    } else {
-                        None
-                    };
-                    if let Some((key_steps, outer_key_expr)) = join {
-                        let index =
-                            self.join_index(source, &key_steps, env)?;
-                        let mut next = Vec::new();
-                        for tuple in &tuples {
-                            let k =
-                                with_tuple(self, env, tuple, outer_key_expr)?;
-                            let atoms = k.atomized();
-                            if atoms.len() != 1 {
-                                continue;
-                            }
-                            for idx in index.idx.probe(&atoms[0]) {
-                                let mut t = tuple.clone();
-                                t.push((
-                                    var.clone(),
-                                    Sequence::one(index.seq.items()[idx].clone()),
-                                ));
-                                next.push(t);
-                            }
-                        }
-                        tuples = next;
-                        i += 2; // consumed the Where too
-                        continue;
-                    }
-                    // Batched source access: a for-clause whose source
-                    // calls a *batchable* function (web-service
-                    // operations) is not issued per tuple. The request
-                    // expression is evaluated for every pending tuple
-                    // first, then the calls are flushed through the
-                    // source's batch entry point in one coalesced
-                    // round trip at the iteration boundary. A
-                    // loop-invariant call (request references no
-                    // variables) is hoisted and issued once. Requests
-                    // are flushed in tuple order, so the first failing
-                    // request surfaces exactly the error sequential
-                    // evaluation would have raised. Because request
-                    // *expressions* are all evaluated before any call
-                    // is issued, a later tuple whose request
-                    // expression itself raises aborts the whole flush
-                    // before the first source call — sequential
-                    // evaluation would have performed (and counted,
-                    // and breaker/injector-accounted) the earlier
-                    // tuples' calls first. The final value and error
-                    // are identical either way; only handler side
-                    // effects, ws_* counters, and resilience
-                    // accounting for those never-issued calls differ.
-                    if pos.is_none()
-                        && !tuples.is_empty()
-                        && self.engine.optimize_enabled()
-                        && self.engine.batch_enabled()
-                    {
-                        if let Expr::FunctionCall { name, args } = source {
-                            if args.len() == 1 {
-                                if let Some(batch) =
-                                    self.engine.batchable(name, 1)
-                                {
-                                    let mut next = Vec::new();
-                                    if tuples.len() > 1
-                                        && !expr_refs_any_var(&args[0])
-                                    {
-                                        // Hoisted: one request serves
-                                        // every tuple.
-                                        let req = self.eval(&args[0], env)?;
-                                        let resp = batch(env, &[req])?
-                                            .into_iter()
-                                            .next()
-                                            .unwrap_or_else(Sequence::empty);
-                                        for tuple in &tuples {
-                                            for item in resp.iter() {
-                                                let mut t = tuple.clone();
-                                                t.push((
-                                                    var.clone(),
-                                                    Sequence::one(item.clone()),
-                                                ));
-                                                next.push(t);
-                                            }
-                                        }
-                                    } else {
-                                        let mut requests =
-                                            Vec::with_capacity(tuples.len());
-                                        for tuple in &tuples {
-                                            requests.push(with_tuple(
-                                                self, env, tuple, &args[0],
-                                            )?);
-                                        }
-                                        let responses = batch(env, &requests)?;
-                                        for (tuple, resp) in
-                                            tuples.iter().zip(responses)
-                                        {
-                                            for item in resp.iter() {
-                                                let mut t = tuple.clone();
-                                                t.push((
-                                                    var.clone(),
-                                                    Sequence::one(item.clone()),
-                                                ));
-                                                next.push(t);
-                                            }
-                                        }
-                                    }
-                                    tuples = next;
-                                    i += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let mut next = Vec::new();
-                    for tuple in &tuples {
-                        let seq = with_tuple(self, env, tuple, source)?;
-                        for (n, item) in seq.iter().enumerate() {
-                            let mut t = tuple.clone();
-                            t.push((var.clone(), Sequence::one(item.clone())));
-                            if let Some(p) = pos {
-                                t.push((
-                                    p.clone(),
-                                    Sequence::one(Item::integer(n as i64 + 1)),
-                                ));
-                            }
-                            next.push(t);
-                        }
-                    }
-                    tuples = next;
-                }
-                FlworClause::Let { var, ty, value } => {
-                    for tuple in &mut tuples {
-                        let v = {
-                            env.push_scope();
-                            for (n, val) in tuple.iter() {
-                                env.bind(n.clone(), val.clone());
-                            }
-                            let out = self.eval(value, env);
-                            env.pop_scope();
-                            out?
-                        };
-                        if let Some(ty) = ty {
-                            ty.check(&v, &format!("let ${var}"))?;
-                        }
-                        tuple.push((var.clone(), v));
-                    }
-                }
-                FlworClause::Where(cond) => {
-                    let mut kept = Vec::new();
-                    for tuple in tuples {
-                        let b = with_tuple(self, env, &tuple, cond)?
-                            .effective_boolean()?;
-                        if b {
-                            kept.push(tuple);
-                        }
-                    }
-                    tuples = kept;
-                }
-                FlworClause::OrderBy(specs) => {
-                    // Compute keys per tuple, then stable sort through
-                    // the one shared sorter (error capture included).
-                    let mut keyed: Vec<(Vec<Option<AtomicValue>>, Tuple)> =
-                        Vec::with_capacity(tuples.len());
-                    for tuple in tuples {
-                        let mut keys = Vec::with_capacity(specs.len());
-                        for spec in specs {
-                            let k = with_tuple(self, env, &tuple, &spec.key)?;
-                            keys.push(opt_one_atomic(&k, "order by")?);
-                        }
-                        keyed.push((keys, tuple));
-                    }
-                    tuples = order_by_sort(keyed, specs)?;
-                }
-            }
-            i += 1;
-        }
-        let mut out = Sequence::empty();
-        for tuple in &tuples {
-            out.extend(with_tuple(self, env, tuple, ret)?);
-        }
-        Ok(out)
-    }
-
     /// Detect the equi-join pattern `for $v in E where P($v) eq K`
     /// where `E` and `K` are independent of `$v` and `P` is a simple
-    /// child/attribute path on `$v`. Returns the key steps and the
-    /// outer key expression.
-    fn detect_join<'a>(
+    /// child/attribute path on `$v`.
+    pub(crate) fn detect_join(
         &self,
         var: &QName,
         source: &Expr,
-        next: Option<&'a FlworClause>,
-    ) -> Option<(Vec<Step>, &'a Expr)> {
+        next: Option<&FlworClause>,
+    ) -> Option<JoinProbe> {
         let FlworClause::Where(cond) = next? else { return None };
         // Source must be a closed expression (no variable references)
         // so its index can be memoized across outer iterations.
@@ -1073,17 +711,16 @@ impl<'e> Evaluator<'e> {
             }
             None
         };
-        if let Some(steps) = key_of(l) {
-            if !expr_refs_var(r, var) {
-                return Some((steps, r));
-            }
-        }
-        if let Some(steps) = key_of(r) {
-            if !expr_refs_var(l, var) {
-                return Some((steps, l));
-            }
-        }
-        None
+        let probe = |key_steps: Vec<Step>, outer: &Expr| {
+            (!expr_refs_var(outer, var)).then(|| JoinProbe {
+                key_steps,
+                outer_key: outer.clone(),
+                index: None,
+            })
+        };
+        key_of(l)
+            .and_then(|steps| probe(steps, r))
+            .or_else(|| key_of(r).and_then(|steps| probe(steps, l)))
     }
 
     /// Detect the *pushdown* pattern `for $v in src() where $v/COL
@@ -1092,12 +729,12 @@ impl<'e> Evaluator<'e> {
     /// columns (single child step, no predicates, unqualified name —
     /// the shape of relational row XML), and `K` does not reference
     /// `$v`.
-    fn detect_pushdown<'a>(
+    pub(crate) fn detect_pushdown(
         &self,
         var: &QName,
         source: &Expr,
-        next: Option<&'a FlworClause>,
-    ) -> Option<Pushdown<'a>> {
+        next: Option<&FlworClause>,
+    ) -> Option<Pushdown> {
         let Expr::FunctionCall { name, args } = source else { return None };
         if !args.is_empty() {
             return None;
@@ -1127,7 +764,7 @@ impl<'e> Evaluator<'e> {
             }
             Some((q.local.to_string(), steps.clone()))
         };
-        let build = |col: String, steps: Vec<Step>, key: &'a Expr| -> Option<Pushdown<'a>> {
+        let build = |col: String, steps: Vec<Step>, key: &Expr| -> Option<Pushdown> {
             if expr_refs_var(key, var) {
                 return None;
             }
@@ -1136,7 +773,13 @@ impl<'e> Evaluator<'e> {
                 .iter()
                 .find(|(c, _)| c == &col)
                 .map(|(_, cl)| *cl)?;
-            Some(Pushdown { cap: cap.clone(), col, class, key_steps: steps, key_expr: key })
+            Some(Pushdown {
+                cap: cap.clone(),
+                col,
+                class,
+                key_steps: steps,
+                key_expr: key.clone(),
+            })
         };
         if let Some((col, steps)) = col_of(l) {
             if let Some(pd) = build(col, steps, r) {
@@ -1151,6 +794,64 @@ impl<'e> Evaluator<'e> {
         None
     }
 
+    /// Predicate pushdown (§II.B "push computation to the sources") for
+    /// the current tuple: one indexed point-select, so the whole table
+    /// is never materialized in the middle tier. `None` when the key is
+    /// not a pushable singleton — the caller then evaluates the clause
+    /// normally, which preserves error semantics exactly. The first
+    /// pushed tuple of an evaluation counts the rewrite.
+    pub(crate) fn point_select(
+        &self,
+        pd: &Pushdown,
+        fired: &mut bool,
+        env: &mut Env,
+    ) -> XdmResult<Option<Sequence>> {
+        let atoms = self.eval(&pd.key_expr, env)?.atomized();
+        let [key] = atoms.as_slice() else { return Ok(None) };
+        let Some(lex) = pushdown_key(pd.class, key) else { return Ok(None) };
+        if !*fired {
+            *fired = true;
+            crate::engine::OptCounters::bump(&self.engine.opt_counters().pushdown_rewrites);
+        }
+        let mut rows = Vec::new();
+        for item in (pd.cap.select)(env, &pd.col, &lex)?.iter() {
+            // Re-verify each candidate under XQuery comparison
+            // semantics: the index may only narrow, never decide.
+            let keyed = self.eval_steps_from(item.clone(), &pd.key_steps, env)?;
+            for a in keyed.atomized().iter() {
+                if general_pair_matches(GeneralComp::Eq, a, key)? {
+                    rows.push(item.clone());
+                    break;
+                }
+            }
+        }
+        Ok(Some(Sequence::from_items(rows)))
+    }
+
+    /// Hash-join probe for the current tuple: the source items whose
+    /// key equals the tuple's outer key. The index is fetched (built,
+    /// or revalidated from the env's join cache) on the first probe of
+    /// an evaluation. A non-singleton outer key matches nothing.
+    pub(crate) fn join_probe(
+        &self,
+        join: &mut JoinProbe,
+        source: &Expr,
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
+        let index = match &join.index {
+            Some(index) => index.clone(),
+            None => {
+                let index = self.join_index(source, &join.key_steps, env)?;
+                join.index = Some(index.clone());
+                index
+            }
+        };
+        let atoms = self.eval(&join.outer_key, env)?.atomized();
+        let [key] = atoms.as_slice() else { return Ok(Sequence::empty()) };
+        let items = index.seq.items();
+        Ok(index.idx.probe(key).into_iter().filter_map(|i| items.get(i).cloned()).collect())
+    }
+
     /// Build (or fetch from the per-evaluation cache) a hash index
     /// over the join source keyed by the key path. Cached entries are
     /// revalidated against their [`CacheStamp`]; stale entries are
@@ -1160,16 +861,16 @@ impl<'e> Evaluator<'e> {
         source: &Expr,
         key_steps: &[Step],
         env: &mut Env,
-    ) -> XdmResult<Rc<JoinIndex>> {
+    ) -> XdmResult<Rc<JoinCacheEntry>> {
         let opt = self.engine.opt_counters();
         let cache_key = (source as *const Expr as usize, steps_fingerprint(key_steps));
-        if let Some(hit) = env_join_cache(env).get(&cache_key).cloned() {
+        if let Some(hit) = env.join_cache.get(&cache_key).cloned() {
             if hit.stamp.is_current(env) {
                 crate::engine::OptCounters::bump(&opt.join_hits);
                 return Ok(hit);
             }
             crate::engine::OptCounters::bump(&opt.join_invalidations);
-            env_join_cache(env).remove(&cache_key);
+            env.join_cache.remove(&cache_key);
         }
         crate::engine::OptCounters::bump(&opt.join_misses);
         // Capability-bearing arity-0 read functions get a precise
@@ -1215,7 +916,7 @@ impl<'e> Evaluator<'e> {
         // a stream can never be stored — and later replayed with its
         // pull state half-consumed — through this cache.
         debug_assert!(!entry.seq.is_lazy(), "join cache must not hold lazy sequences");
-        env_join_cache(env).insert(cache_key, entry.clone());
+        env.join_cache.insert(cache_key, entry.clone());
         Ok(entry)
     }
 
@@ -1381,12 +1082,11 @@ impl<'e> Evaluator<'e> {
     // decided by a bounded prefix of their sequence argument, evaluate
     // that argument through `eval_lazy`, and pull only as far as the
     // answer requires. On an eager argument `try_item` is plain slice
-    // access, so the rewrites are value-equivalent both kill-switch
-    // ways; they are still gated on `lazy_enabled` so the kill switch
-    // restores the strict evaluation order exactly. Documented
-    // deviation (DESIGN §11): work past the early exit — including
-    // error-raising expressions — is never performed, and window/bound
-    // operands are evaluated before the sequence operand.
+    // access, so the rewrites are value-equivalent to draining the
+    // argument first. Documented deviation (DESIGN §11): work past the
+    // early exit — including error-raising expressions — is never
+    // performed, and window/bound operands are evaluated before the
+    // sequence operand.
 
     /// Intercept `fn:exists`/`fn:empty` (one pull decides) and
     /// `fn:subsequence` (pulls stop at the window's end). `None` means
@@ -1397,7 +1097,7 @@ impl<'e> Evaluator<'e> {
         args: &[Expr],
         env: &mut Env,
     ) -> Option<XdmResult<Sequence>> {
-        if !self.engine.lazy_enabled() || name.ns.as_deref() != Some(FN_NS) {
+        if name.ns.as_deref() != Some(FN_NS) {
             return None;
         }
         // `call_function_inner` consults builtins before user
@@ -1466,9 +1166,6 @@ impl<'e> Evaluator<'e> {
         r: &Expr,
         env: &mut Env,
     ) -> Option<XdmResult<Sequence>> {
-        if !self.engine.lazy_enabled() {
-            return None;
-        }
         fn counted_arg(e: &Expr) -> Option<&Expr> {
             let Expr::FunctionCall { name, args } = e else { return None };
             if name.ns.as_deref() == Some(FN_NS)
@@ -1824,12 +1521,20 @@ impl<'e> Evaluator<'e> {
 }
 
 /// A detected pushdown opportunity.
-struct Pushdown<'a> {
+pub(crate) struct Pushdown {
     cap: crate::engine::SourceCapability,
     col: String,
     class: crate::engine::ColClass,
     key_steps: Vec<Step>,
-    key_expr: &'a Expr,
+    key_expr: Expr,
+}
+
+/// A detected hash-join opportunity: the key path on the `for`
+/// variable, the outer key expression, and the index once fetched.
+pub(crate) struct JoinProbe {
+    key_steps: Vec<Step>,
+    outer_key: Expr,
+    index: Option<Rc<JoinCacheEntry>>,
 }
 
 /// Canonicalize a comparison key for a source column class, or `None`
@@ -1891,7 +1596,7 @@ fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
     })
 }
 
-fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
+pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
     let atoms = seq.atomized();
     match atoms.len() {
         0 => Ok(None),
@@ -2433,10 +2138,6 @@ fn content_nodes(
 
 // ------------------------------------------------- join-cache plumbing
 
-fn env_join_cache(env: &mut Env) -> &mut HashMap<(usize, u64), Rc<JoinIndex>> {
-    &mut env.join_cache
-}
-
 fn steps_fingerprint(steps: &[Step]) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
@@ -2448,7 +2149,7 @@ fn steps_fingerprint(steps: &[Step]) -> u64 {
 }
 
 /// Does the expression reference any variable at all?
-fn expr_refs_any_var(e: &Expr) -> bool {
+pub(crate) fn expr_refs_any_var(e: &Expr) -> bool {
     let mut found = false;
     walk_expr(e, &mut |x| {
         if matches!(x, Expr::VarRef(_)) {

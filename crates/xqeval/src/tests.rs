@@ -3,6 +3,7 @@
 //! readonly-procedure enforcement).
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use xdm::atomic::AtomicValue;
 use xdm::error::ErrorCode;
@@ -1086,20 +1087,6 @@ fn quantifiers_short_circuit_the_stream() {
 }
 
 #[test]
-fn kill_switch_restores_eager_evaluation() {
-    let engine = Engine::new();
-    engine.set_lazy(false);
-    let out = engine
-        .eval_query("subsequence(for $i in 1 to 1000 return $i, 1, 5)")
-        .unwrap();
-    assert_eq!(ints(&out), vec![1, 2, 3, 4, 5]);
-    let s = engine.opt_stats();
-    assert_eq!(s.tuples_pulled, 0, "no stream engages with lazy off");
-    assert_eq!(s.early_exits, 0);
-    assert_eq!(s.items_never_built, 0);
-}
-
-#[test]
 fn errors_inside_the_consumed_window_still_raise() {
     let engine = Engine::new();
     let err = engine
@@ -1110,17 +1097,20 @@ fn errors_inside_the_consumed_window_still_raise() {
 
 #[test]
 fn errors_past_the_early_exit_are_never_evaluated() {
-    // Documented deviation (DESIGN §11): the eager engine drains the
-    // whole chain and hits the division by zero; the lazy engine stops
-    // at the window's edge and never evaluates the poisoned tuple.
+    // Documented deviation (DESIGN §11): the let-forced reference
+    // drains the whole chain and hits the division by zero; the
+    // streamed consumer stops at the window's edge and never evaluates
+    // the poisoned tuple.
     let engine = Engine::new();
     let out = engine
         .eval_query("subsequence(for $i in (1, 2, 0, 4) return 10 idiv $i, 1, 2)")
         .unwrap();
     assert_eq!(ints(&out), vec![10, 5]);
-    engine.set_lazy(false);
     let err = engine
-        .eval_query("subsequence(for $i in (1, 2, 0, 4) return 10 idiv $i, 1, 2)")
+        .eval_query(
+            "let $all := (for $i in (1, 2, 0, 4) return 10 idiv $i) \
+             return subsequence($all, 1, 2)",
+        )
         .unwrap_err();
     assert!(err.is(ErrorCode::FOAR0001));
 }
@@ -1161,7 +1151,9 @@ fn nested_streams_compose() {
 }
 
 #[test]
-fn order_by_falls_back_to_eager() {
+fn order_by_is_a_barrier_inside_the_stream() {
+    // The sort buffers all three upstream tuples once, then the page
+    // pulls only the two replayed tuples it needs.
     let engine = Engine::new();
     let out = engine
         .eval_query(
@@ -1169,25 +1161,189 @@ fn order_by_falls_back_to_eager() {
         )
         .unwrap();
     assert_eq!(ints(&out), vec![3, 2]);
-    assert_eq!(engine.opt_stats().tuples_pulled, 0, "sorts are a barrier");
+    let s = engine.opt_stats();
+    assert_eq!(s.tuples_pulled, 2);
+    assert_eq!(s.early_exits, 1);
 }
 
 #[test]
-fn streamed_flwor_matches_eager_output() {
-    // Value parity both kill-switch ways across a grab-bag of shapes.
+fn draining_counts_tuples_and_charges_fuel_per_tuple() {
+    let engine = Engine::new();
+    let out = engine.eval_query("count(for $i in 1 to 10 return $i)").unwrap();
+    assert_eq!(ints(&out), vec![10]);
+    let s = engine.opt_stats();
+    assert_eq!(s.tuples_pulled, 10, "a drain pulls every tuple");
+    assert_eq!(s.early_exits, 0, "a drain is never an early exit");
+
+    // One fuel unit per tuple on top of the per-step charges: the
+    // same query with one more tuple costs strictly more.
+    let fuel_used = |n: usize| {
+        let engine = Engine::new();
+        let budget = Arc::new(crate::Budget::unlimited().limit_fuel(1_000_000));
+        engine.set_budget(Some(budget.clone()));
+        engine
+            .eval_query(&format!("count(for $i in 1 to {n} return ())"))
+            .unwrap();
+        budget.steps_taken()
+    };
+    assert_eq!(fuel_used(11) - fuel_used(10), 2, "one tuple step + one return step");
+}
+
+#[test]
+fn failed_drain_leaves_the_scope_stack_balanced() {
+    let engine = Engine::new();
+    let expr = xqparser::parser::parse_expr(
+        "for $i in 1 to 3 let $j := $i for $k in (1, 0) \
+         order by $k return $i idiv $k",
+        &[],
+    )
+    .unwrap();
+    let mut env = Env::new();
+    let depth = env.depth();
+    let err = engine.eval_in(&expr, &mut env).unwrap_err();
+    assert!(err.is(ErrorCode::FOAR0001));
+    assert_eq!(env.depth(), depth);
+}
+
+#[test]
+fn flwor_errors_are_raised_in_tuple_order() {
+    // The first tuple's `return` fails before the second tuple's
+    // `let` is ever evaluated (XQuery 1.0 §2.3.4 leaves the order
+    // open; the pipeline fixes it to tuple order).
+    let err = ev_err(
+        "for $i in (1, 2) let $x := if ($i eq 2) then error(xs:QName('local:LET')) else 0 \
+         return if ($i eq 1) then error(xs:QName('local:RET')) else $x",
+    );
+    assert!(err.to_string().contains("RET"), "{err}");
+}
+
+const DB_NS: &str = "declare namespace db = \"urn:db\";";
+
+/// Every FLWOR shape the pipeline lowers — plain clauses, hash-join
+/// probe, pushdown point-select, batched source, `order by` barrier —
+/// gives the same bytes streamed (pulled through `eval_query_lazy`)
+/// and let-forced (drained into a variable first).
+#[test]
+fn streamed_flwor_matches_let_forced_output() {
     let queries = [
         "for $i in 1 to 20 where $i mod 3 eq 0 return $i",
         "for $i in 1 to 5, $j in 1 to 3 return $i * 10 + $j",
         "for $i at $p in (10, 20, 30) return $p + $i",
         "for $i in 1 to 10 let $d := $i * 2 where $d gt 10 return $d",
         "subsequence(for $i in 1 to 50 return <n>{$i}</n>, 5, 3)",
+        "for $i in (3, 1, 2), $j in (2, 1) order by $j, $i descending return $i * 10 + $j",
+        "for $c in db:CUSTOMER() for $k in db:CARD() where $k/CID eq $c/CID \
+         return fn:string($k/NUM)",
+        "for $c in db:CUSTOMER() where $c/CID eq 3 return fn:string($c/NAME)",
+        "for $c in db:CUSTOMER() for $r in db:rating(fn:string($c/CID)) \
+         order by fn:string($r) descending return fn:string($r)",
     ];
     for q in queries {
-        let lazy_engine = Engine::new();
-        let eager_engine = Engine::new();
-        eager_engine.set_lazy(false);
-        let a = serialize_sequence(&lazy_engine.eval_query(q).unwrap());
-        let b = serialize_sequence(&eager_engine.eval_query(q).unwrap());
-        assert_eq!(a, b, "lazy/eager divergence for {q}");
+        let streamed_engine = pipeline_engine(8);
+        let forced_engine = pipeline_engine(8);
+        let streamed = streamed_engine
+            .eval_query_lazy(&format!("{DB_NS} {q}"))
+            .and_then(Sequence::into_forced)
+            .unwrap();
+        let forced = forced_engine
+            .eval_query(&format!("{DB_NS} let $all := ({q}) return $all"))
+            .unwrap();
+        assert_eq!(serialize_sequence(&streamed), serialize_sequence(&forced), "{q}");
+        assert!(streamed_engine.opt_stats().tuples_pulled > 0, "{q}");
     }
+}
+
+/// [`join_engine`] plus a pushdown capability on `db:CUSTOMER` and a
+/// batchable `db:rating`, counting batches in `calls`.
+fn pipeline_engine(n: usize) -> Engine {
+    use crate::engine::{ColClass, SourceCapability};
+    let engine = join_engine(n);
+    let rows: Vec<Item> = engine
+        .eval_expr_str("db:CUSTOMER()", &[("db", "urn:db")])
+        .unwrap()
+        .into_items();
+    engine.register_source_capability(
+        QName::with_ns("urn:db", "CUSTOMER"),
+        SourceCapability {
+            columns: vec![("CID".into(), ColClass::Integer)],
+            select: Rc::new(move |_env, _col, key| {
+                Ok(rows.iter().filter(|r| r.string_value().starts_with(key)).cloned().collect())
+            }),
+            version: Rc::new(|| 1),
+            served_version: Rc::new(|| 1),
+        },
+    );
+    let rate = |req: &Sequence| {
+        Sequence::one(Item::string(format!("r{}", req.string_value().unwrap_or_default())))
+    };
+    let rating = QName::with_ns("urn:db", "rating");
+    engine.register_external_function(
+        rating.clone(),
+        1,
+        Rc::new(move |_env, args| Ok(rate(&args[0]))),
+    );
+    engine.register_batchable_function(
+        rating,
+        1,
+        Rc::new(move |_env, reqs| Ok(reqs.iter().map(rate).collect())),
+    );
+    engine
+}
+
+#[test]
+fn rewrites_fire_inside_escaping_streams() {
+    let ns = &[("db", "urn:db")];
+    let engine = pipeline_engine(8);
+    // Pushdown: one indexed point-select, counted once.
+    let out = engine
+        .eval_expr_str(
+            "exists(for $c in db:CUSTOMER() where $c/CID eq 3 return $c)",
+            ns,
+        )
+        .unwrap();
+    assert_eq!(as_string(&out), "true");
+    assert_eq!(engine.opt_stats().pushdown_rewrites, 1);
+    // Hash join: the index is built once for all outer tuples.
+    engine.reset_opt_stats();
+    let out = engine
+        .eval_expr_str(
+            "subsequence(for $c in db:CUSTOMER() for $k in db:CARD() \
+             where $k/CID eq $c/CID return fn:string($k/NUM), 2, 2)",
+            ns,
+        )
+        .unwrap();
+    assert_eq!(as_string(&out), "n1 n2");
+    let s = engine.opt_stats();
+    assert_eq!((s.join_misses, s.join_hits), (1, 0));
+    assert_eq!(s.tuples_pulled, 3);
+}
+
+#[test]
+fn batch_barrier_issues_one_flight_and_hoists_closed_requests() {
+    let ns = &[("db", "urn:db")];
+    let engine = pipeline_engine(4);
+    let calls = Rc::new(std::cell::Cell::new(0usize));
+    let seen = calls.clone();
+    engine.register_batchable_function(
+        QName::with_ns("urn:db", "rating"),
+        1,
+        Rc::new(move |_env, reqs| {
+            seen.set(seen.get() + 1);
+            Ok(reqs.iter().map(|r| Sequence::one(Item::integer(r.len() as i64))).collect())
+        }),
+    );
+    let out = engine
+        .eval_expr_str(
+            "for $c in db:CUSTOMER() for $r in db:rating(($c/CID, $c/CID)) return $r",
+            ns,
+        )
+        .unwrap();
+    assert_eq!(ints(&out), vec![2, 2, 2, 2]);
+    assert_eq!(calls.get(), 1, "four requests, one flight");
+    // A closed request is evaluated and issued once for every tuple.
+    let out = engine
+        .eval_expr_str("for $c in db:CUSTOMER() for $r in db:rating(7) return $r", ns)
+        .unwrap();
+    assert_eq!(ints(&out), vec![1, 1, 1, 1]);
+    assert_eq!(calls.get(), 2);
 }

@@ -56,14 +56,11 @@ echo "==> XQSE_DISABLE_GRAFT=1 cargo test -q $NET --test conformance --test chao
 XQSE_DISABLE_GRAFT=1 cargo test -q $NET --test conformance --test chaos \
     --test use_cases --test figure3
 
-# Pipelined lazy evaluation has its own kill switch
-# (XQSE_DISABLE_LAZY=1 == Engine::set_lazy(false)) that restores fully
-# eager FLWOR evaluation — no tuple streaming, no early-exit
-# interceptors. Lazy and eager runs must be observably identical on
-# every fault-free program, so: same semantic suites a fourth time.
-echo "==> XQSE_DISABLE_LAZY=1 cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
-XQSE_DISABLE_LAZY=1 cargo test -q $NET --test conformance --test chaos \
-    --test use_cases --test figure3
+# The serving benchmark's own tests (a crate outside the workspace):
+# every reply is checked against fixture or closed-form values and,
+# by digest, against a direct single-thread replay, so evaluator
+# changes that alter a reply fail here.
+run cargo test -q $NET --manifest-path perfbench/Cargo.toml
 
 # Crash-recovery chaos matrix: the journaled-2PC acceptance gate.
 # Crashes the coordinator at every protocol point (FaultKind::CrashPoint

@@ -1,7 +1,7 @@
 //! xqsh — a small driver for XQSE programs.
 //!
 //! Usage:
-//!   xqsh <file.xqse> [--trace] [--xqueryp] [--explain] [--no-opt] [--no-batch] [--no-graft] [--no-lazy] [--doc URI=FILE]...
+//!   xqsh <file.xqse> [--trace] [--xqueryp] [--explain] [--no-opt] [--no-batch] [--no-graft] [--doc URI=FILE]...
 //!   echo '{ return value 1 + 1; }' | xqsh -
 //!   xqsh --repl < lines.xqse
 //!   xqsh --serve-bench N [--requests R] [--delay-us D] [--explain]
@@ -18,13 +18,12 @@
 //! and source-batching layer (equivalent to XQSE_DISABLE_BATCH=1);
 //! `--no-graft` disables zero-copy subtree adoption in constructors
 //! (equivalent to XQSE_DISABLE_GRAFT=1 — the E16 ablation);
-//! `--no-lazy` disables pipelined lazy FLWOR evaluation (equivalent
-//! to XQSE_DISABLE_LAZY=1 — the E17 ablation);
 //! `--doc` registers an XML file so `fn:doc("URI")` resolves.
 //!
-//! In script mode the result is serialized **incrementally**: items
-//! are written (and stdout flushed) as the lazy stream yields them,
-//! so time-to-first-byte tracks the first tuple, not the last. A
+//! In script mode the result is serialized **incrementally**: a FLWOR
+//! body comes back as a pull stream, and items are written (and stdout
+//! flushed) as it yields them, so time-to-first-byte tracks the first
+//! tuple, not the last. A
 //! mid-stream error can therefore leave partial output on stdout
 //! before the error report on stderr (see DESIGN.md §11).
 //!
@@ -66,7 +65,7 @@ use xqse::Xqse;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: xqsh <file.xqse | - | --repl> [--trace] [--xqueryp] [--explain] \
-         [--no-opt] [--no-batch] [--no-graft] [--no-lazy] [--deadline-ms MS] \
+         [--no-opt] [--no-batch] [--no-graft] [--deadline-ms MS] \
          [--fuel N] [--doc URI=FILE]...\n       \
          xqsh --serve-bench N [--requests R] [--delay-us D] [--overload] \
          [--deadline-ms MS] [--fuel N] [--explain]"
@@ -74,7 +73,7 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool, lazy: bool) {
+fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool) {
     // Every feature flag and every counter group prints
     // unconditionally — zero-valued counters included — so bench
     // scripts can parse the explain block without first guessing
@@ -82,7 +81,6 @@ fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool, l
     eprintln!("explain: optimize = {optimize}");
     eprintln!("explain: batch    = {batch}");
     eprintln!("explain: graft    = {graft}");
-    eprintln!("explain: lazy     = {lazy}");
     eprintln!(
         "explain: join cache     hits={} misses={} invalidations={}",
         s.join_hits, s.join_misses, s.join_invalidations
@@ -133,7 +131,6 @@ fn print_explain(engine: &Engine) {
         engine.optimize_enabled(),
         engine.batch_enabled(),
         engine.graft_enabled(),
-        engine.lazy_enabled(),
     );
 }
 
@@ -149,7 +146,6 @@ fn serve_bench(
     deadline_ms: Option<u64>,
     fuel: Option<u64>,
     no_graft: bool,
-    no_lazy: bool,
 ) -> ExitCode {
     use aldsp::demo;
     use aldsp::pool::{
@@ -187,15 +183,11 @@ fn serve_bench(
             &db2,
             WebService::credit_rating_delayed(demo::CREDIT_TYPES_NS, delay_us),
         );
-        // Per-worker engines read XQSE_DISABLE_GRAFT / _LAZY themselves
-        // at construction; the --no-graft/--no-lazy flags have to
-        // reach them here.
+        // Per-worker engines read XQSE_DISABLE_GRAFT themselves at
+        // construction; the --no-graft flag has to reach them here.
         if let Ok(s) = &space {
             if no_graft {
                 s.engine().set_graft(false);
-            }
-            if no_lazy {
-                s.engine().set_lazy(false);
             }
         }
         space
@@ -276,7 +268,6 @@ fn serve_bench(
             env_on("XQSE_DISABLE_OPT"),
             env_on("XQSE_DISABLE_BATCH"),
             !no_graft && env_on("XQSE_DISABLE_GRAFT"),
-            !no_lazy && env_on("XQSE_DISABLE_LAZY"),
         );
     }
     if errors > 0 || report.init_errors.iter().any(Option::is_some) {
@@ -295,7 +286,6 @@ fn main() -> ExitCode {
     let mut no_opt = false;
     let mut no_batch = false;
     let mut no_graft = false;
-    let mut no_lazy = false;
     let mut repl = false;
     let mut serve_workers: Option<usize> = None;
     let mut serve_requests: usize = 64;
@@ -313,7 +303,6 @@ fn main() -> ExitCode {
             "--no-opt" => no_opt = true,
             "--no-batch" => no_batch = true,
             "--no-graft" => no_graft = true,
-            "--no-lazy" => no_lazy = true,
             "--repl" => repl = true,
             "--overload" => overload = true,
             "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
@@ -360,7 +349,6 @@ fn main() -> ExitCode {
             deadline_ms,
             fuel,
             no_graft,
-            no_lazy,
         );
     }
     if overload || (repl && (source_arg.is_some() || sequential)) {
@@ -376,9 +364,6 @@ fn main() -> ExitCode {
     }
     if no_graft {
         engine.set_graft(false);
-    }
-    if no_lazy {
-        engine.set_lazy(false);
     }
     if deadline_ms.is_some() || fuel.is_some() {
         // One budget covers the whole script (or repl session), on

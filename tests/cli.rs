@@ -136,32 +136,6 @@ fn run_stdin_env(args: &[&str], envs: &[(&str, &str)], input: &str) -> (String, 
     )
 }
 
-/// The three lazy kill switches (default-on, `--no-lazy`, env var)
-/// produce byte-identical stdout; the explain block says which mode
-/// ran and the streaming counters reflect it.
-#[test]
-fn lazy_kill_switches_agree_byte_for_byte() {
-    let src = "fn:subsequence(for $i in 1 to 50 where $i mod 3 ne 0 \
-               return <r>{$i}</r>, 2, 3)";
-    let (lazy_out, lazy_err, ok) = run_stdin_env(&["--explain"], &[], src);
-    assert!(ok, "{lazy_err}");
-    let (flag_out, flag_err, ok) = run_stdin_env(&["--explain", "--no-lazy"], &[], src);
-    assert!(ok, "{flag_err}");
-    let (env_out, env_err, ok) =
-        run_stdin_env(&["--explain"], &[("XQSE_DISABLE_LAZY", "1")], src);
-    assert!(ok, "{env_err}");
-    assert_eq!(lazy_out, flag_out);
-    assert_eq!(lazy_out, env_out);
-    assert!(lazy_err.contains("explain: lazy     = true"), "{lazy_err}");
-    assert!(flag_err.contains("explain: lazy     = false"), "{flag_err}");
-    assert!(env_err.contains("explain: lazy     = false"), "{env_err}");
-    // The stream engaged in the default run and stopped early...
-    assert!(lazy_err.contains("early-exits=1"), "{lazy_err}");
-    // ...and never engaged under either kill switch.
-    assert!(flag_err.contains("tuples-pulled=0"), "{flag_err}");
-    assert!(env_err.contains("tuples-pulled=0"), "{env_err}");
-}
-
 /// Every explain line prints on every run — zero-valued counters and
 /// disabled features included — so bench scripts can parse the block
 /// without guessing which features were engaged (satellite: uniform
@@ -172,7 +146,6 @@ fn explain_block_prints_all_lines_unconditionally() {
         "explain: optimize =",
         "explain: batch    =",
         "explain: graft    =",
-        "explain: lazy     =",
         "explain: join cache",
         "explain: mat cache",
         "explain: pushdown",
@@ -184,8 +157,8 @@ fn explain_block_prints_all_lines_unconditionally() {
         "explain: streaming",
     ];
     // A trivial query engages almost nothing; every line must still be
-    // there, in both lazy and eager mode.
-    for args in [&["--explain"][..], &["--explain", "--no-lazy"][..]] {
+    // there, with a feature switched off too.
+    for args in [&["--explain"][..], &["--explain", "--no-graft"][..]] {
         let (_, stderr, ok) = run_stdin_env(args, &[], "1 + 1");
         assert!(ok, "{stderr}");
         for g in groups {

@@ -522,7 +522,7 @@ proptest! {
     }
 }
 
-// ------------------------------------------- lazy / eager equivalence
+// ---------------------------------------- streamed / drained equivalence
 
 /// The consumer wrapped around a generated FLWOR — the early-exit
 /// shapes the streaming evaluator intercepts, plus a full drain.
@@ -552,45 +552,122 @@ fn lazy_consumer_strategy() -> impl Strategy<Value = LazyConsumer> {
     ]
 }
 
-/// Render the generated query. The base FLWOR filters with `mod` so
-/// the result is a strict, non-trivial subset of the range; quantified
-/// consumers use an atomized body (their bindings are items, not
-/// constructed elements).
-fn lazy_query(n: usize, m: usize, consumer: &LazyConsumer) -> String {
-    let base = format!("for $i in 1 to {n} where $i mod {m} ne 0 return <r>{{$i}}</r>");
-    let atoms = format!("for $i in 1 to {n} where $i mod {m} ne 0 return $i * 2");
-    match consumer {
-        LazyConsumer::Full => base,
-        LazyConsumer::Exists => format!("fn:exists({base})"),
-        LazyConsumer::Empty => format!("fn:empty({base})"),
-        LazyConsumer::CountGt(k) => format!("fn:count({base}) gt {k}"),
-        LazyConsumer::Subsequence(s, l) => format!("fn:subsequence({base}, {s}, {l})"),
-        LazyConsumer::Positional(k) => format!("({base})[{k}]"),
-        LazyConsumer::SomeGe(k) => format!("some $x in ({atoms}) satisfies $x ge {k}"),
-        LazyConsumer::EveryLt(k) => format!("every $x in ({atoms}) satisfies $x lt {k}"),
+/// The FLWOR clause shapes the pipeline lowers to distinct operators:
+/// plain for/where, hash-join probe, pushdown point-select, `order by`
+/// barrier, and batched web-service barrier.
+#[derive(Debug, Clone, Copy)]
+enum FlworShape {
+    Filter,
+    Join,
+    Pushdown,
+    OrderBy,
+    Batch,
+}
+
+fn flwor_shape_strategy() -> impl Strategy<Value = FlworShape> {
+    prop_oneof![
+        Just(FlworShape::Filter),
+        Just(FlworShape::Join),
+        Just(FlworShape::Pushdown),
+        Just(FlworShape::OrderBy),
+        Just(FlworShape::Batch),
+    ]
+}
+
+/// Customers in the demo fixture the shapes run over.
+const SHAPE_CUSTOMERS: usize = 12;
+
+const DEMO_NS: &str = "declare namespace cus = \"ld:db1/CUSTOMER\"; \
+     declare namespace cre = \"ld:db2/CREDIT_CARD\"; \
+     declare namespace cre2 = \"urn:creditrating/types\"; \
+     declare namespace cre3 = \"ld:ws/CreditRating\";";
+
+/// The clauses of a shape and its integer-valued return expression.
+/// Every shape yields at least one tuple.
+fn shape_clauses(shape: FlworShape, n: usize, m: usize) -> (String, &'static str) {
+    let k = n.min(SHAPE_CUSTOMERS);
+    match shape {
+        FlworShape::Filter => (format!("for $i in 1 to {n} where $i mod {m} ne 0"), "$i"),
+        // A filtered source is not capability-bearing, so the join
+        // rewrite (not pushdown) claims the `where`.
+        FlworShape::Join => (
+            "for $c in cus:CUSTOMER() for $k in cre:CREDIT_CARD()[fn:true()] \
+             where $k/CID eq $c/CID"
+                .to_string(),
+            "fn:data($k/CCID)",
+        ),
+        FlworShape::Pushdown => (
+            format!(
+                "for $i in 1 to {k} for $c in cus:CUSTOMER() \
+                 where $c/CID eq ($i * {m}) mod {k} + 1"
+            ),
+            "fn:data($c/CID)",
+        ),
+        FlworShape::OrderBy => (
+            format!("for $i in 1 to {n} let $k := ($i * {m}) mod 7 order by $k descending, $i"),
+            "$i * 10 + $k",
+        ),
+        FlworShape::Batch => (
+            "for $c in cus:CUSTOMER() for $r in cre3:getCreditRating(<cre2:getCreditRating>\
+             <cre2:lastName>{fn:data($c/LAST_NAME)}</cre2:lastName>\
+             <cre2:ssn>{fn:data($c/SSN)}</cre2:ssn></cre2:getCreditRating>)"
+                .to_string(),
+            "xs:integer(fn:data($r/cre2:value))",
+        ),
     }
+}
+
+/// Render the generated query as `(streamed, let_forced)`: the
+/// consumer applied to the FLWOR directly, and to a variable the FLWOR
+/// was first drained into. Quantified consumers use the atomized
+/// return (their bindings are items, not constructed elements).
+fn lazy_query(shape: FlworShape, n: usize, m: usize, consumer: &LazyConsumer) -> (String, String) {
+    let (clauses, value) = shape_clauses(shape, n, m);
+    let base = format!("{clauses} return <r>{{{value}}}</r>");
+    let atoms = format!("{clauses} return {value}");
+    let wrap = |seq: &str| match consumer {
+        LazyConsumer::Full => seq.to_string(),
+        LazyConsumer::Exists => format!("fn:exists({seq})"),
+        LazyConsumer::Empty => format!("fn:empty({seq})"),
+        LazyConsumer::CountGt(k) => format!("fn:count({seq}) gt {k}"),
+        LazyConsumer::Subsequence(s, l) => format!("fn:subsequence({seq}, {s}, {l})"),
+        LazyConsumer::Positional(k) => format!("({seq})[{k}]"),
+        LazyConsumer::SomeGe(k) => format!("some $x in {seq} satisfies $x ge {k}"),
+        LazyConsumer::EveryLt(k) => format!("every $x in {seq} satisfies $x lt {k}"),
+    };
+    let operand = match consumer {
+        LazyConsumer::SomeGe(_) | LazyConsumer::EveryLt(_) => atoms,
+        _ => base,
+    };
+    (
+        format!("{DEMO_NS} {}", wrap(&format!("({operand})"))),
+        format!("{DEMO_NS} let $all := ({operand}) return {}", wrap("$all")),
+    )
 }
 
 /// Run a query through the pipelined entry point and drain it with the
 /// streaming serializer. Returns the serialized bytes (or the error
 /// text) plus the engine's `tuples_pulled` counter.
-fn run_lazy(src: &str) -> (Result<String, String>, u64, bool) {
+fn run_lazy_on(xqse: &Xqse, src: &str) -> (Result<String, String>, u64) {
     use xqse_repro::xmlparse::serialize_sequence_stream;
-    let xqse = Xqse::new();
-    let lazy_on = xqse.engine().lazy_enabled();
+    xqse.engine().reset_opt_stats();
     let mut env = xqse_repro::xqeval::Env::new();
     let res = xqse
         .run_lazy_with_env(src, &mut env)
         .and_then(|s| serialize_sequence_stream(&s))
         .map_err(|e| e.to_string());
-    (res, xqse.engine().opt_stats().tuples_pulled, lazy_on)
+    (res, xqse.engine().opt_stats().tuples_pulled)
 }
 
-/// Run the same query fully eagerly via the kill switch.
-fn run_eager(src: &str) -> Result<String, String> {
-    let xqse = Xqse::new();
-    xqse.engine().set_lazy(false);
-    xqse.run(src)
+fn run_lazy(src: &str) -> (Result<String, String>, u64) {
+    run_lazy_on(&Xqse::new(), src)
+}
+
+/// The let-forced reference: drain the FLWOR into a variable through
+/// the strict entry point, then serialize.
+fn run_forced(src: &str) -> Result<String, String> {
+    Xqse::new()
+        .run(&format!("let $all := ({src}) return $all"))
         .map(|s| xqse_repro::xmlparse::serialize_sequence(&s))
         .map_err(|e| e.to_string())
 }
@@ -598,52 +675,55 @@ fn run_eager(src: &str) -> Result<String, String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Pipelined evaluation is observationally equal to eager
-    /// evaluation on fault-free queries: byte-identical serialization
-    /// and `string_value`, across every intercepted consumer shape —
-    /// with the pull counter proving the stream actually engaged.
+    /// Streaming a FLWOR is observationally equal to draining it into
+    /// a variable first: byte-identical serialization and
+    /// `string_value`, across every intercepted consumer and every
+    /// operator shape — with the pull counter proving the stream
+    /// engaged.
     #[test]
     fn lazy_agrees_with_eager(
+        shape in flwor_shape_strategy(),
         n in 1usize..40,
         m in 2usize..5,
         consumer in lazy_consumer_strategy(),
     ) {
-        let src = lazy_query(n, m, &consumer);
-        let (lazy, pulled, lazy_on) = run_lazy(&src);
-        let eager = run_eager(&src);
-        prop_assert_eq!(&lazy, &eager, "query: {}", src);
+        let (streamed, forced) = lazy_query(shape, n, m, &consumer);
+        let d = xqse_repro::aldsp::demo::build(SHAPE_CUSTOMERS, 1, 2).unwrap();
+        let xqse = d.space.xqse();
+        let (lazy, pulled) = run_lazy_on(xqse, &streamed);
+        let eager = xqse
+            .run(&forced)
+            .map(|s| xqse_repro::xmlparse::serialize_sequence(&s))
+            .map_err(|e| e.to_string());
+        prop_assert!(eager.is_ok(), "fault-free query failed: {} -> {:?}", forced, eager);
+        prop_assert_eq!(&lazy, &eager, "query: {}", streamed);
 
         // string_value must agree too (it has its own pull path).
-        let a = Xqse::new();
         let mut env = xqse_repro::xqeval::Env::new();
-        let sv_lazy = a.run_lazy_with_env(&src, &mut env)
+        let sv_lazy = xqse.run_lazy_with_env(&streamed, &mut env)
             .and_then(|s| s.string_value())
             .map_err(|e| e.to_string());
-        let b = Xqse::new();
-        b.engine().set_lazy(false);
-        let sv_eager = b.run(&src)
+        let sv_eager = xqse.run(&forced)
             .and_then(|s| s.string_value())
             .map_err(|e| e.to_string());
-        prop_assert_eq!(sv_lazy, sv_eager, "query: {}", src);
+        prop_assert_eq!(sv_lazy, sv_eager, "query: {}", streamed);
 
-        // The base FLWOR always yields at least one tuple (1 mod m is
-        // never 0 for m > 1), so a live stream must have pulled.
-        if lazy_on {
-            prop_assert!(pulled >= 1, "stream never engaged for: {}", src);
-        }
+        // Every shape yields at least one tuple, so the stream must
+        // have pulled.
+        prop_assert!(pulled >= 1, "stream never engaged for: {}", streamed);
     }
 
-    /// A fault inside the stream raises the same error lazily and
-    /// eagerly on a full drain, and the lazy drain yields exactly the
-    /// items before the faulting tuple first.
+    /// A fault inside the stream raises the same error streamed and
+    /// let-forced on a full drain, and the streamed drain yields
+    /// exactly the items before the faulting tuple first.
     #[test]
     fn mid_stream_faults_agree_with_eager(n in 2usize..30, f in 1usize..30) {
         let f = 1 + (f - 1) % n; // fault lands inside the range
         let src = format!(
             "for $i in 1 to {n} return <r>{{ if ($i eq {f}) then 1 idiv 0 else $i }}</r>"
         );
-        let (lazy, _, lazy_on) = run_lazy(&src);
-        let eager = run_eager(&src);
+        let (lazy, _) = run_lazy(&src);
+        let eager = run_forced(&src);
         prop_assert!(lazy.is_err() && eager.is_err(), "both must fault: {}", src);
         prop_assert_eq!(lazy.as_ref().unwrap_err(), eager.as_ref().unwrap_err());
         prop_assert!(lazy.unwrap_err().contains("FOAR0001"));
@@ -660,23 +740,18 @@ proptest! {
                 Err(e) => break Some(e),
             }
         };
-        if lazy_on {
-            prop_assert_eq!(got, f - 1, "items before the faulting tuple");
-            prop_assert!(err.is_some());
-        } else {
-            // Kill-switch arm: the error surfaced at run time instead.
-            prop_assert!(err.is_some() || got == 0);
-        }
+        prop_assert_eq!(got, f - 1, "items before the faulting tuple");
+        prop_assert!(err.is_some());
     }
 
     /// Mid-stream budget expiry: a fuel-limited lazy drain either
     /// completes or stops with `FUEL_EXHAUSTED`, and whatever prefix
-    /// it emitted is a byte prefix of the unbudgeted eager output.
+    /// it emitted is a byte prefix of the unbudgeted let-forced output.
     #[test]
     fn mid_stream_budget_expiry_is_clean(n in 10usize..40, fuel in 5usize..200) {
         use xqse_repro::xmlparse::IncrementalSerializer;
         let src = format!("for $i in 1 to {n} return <r>{{$i}}</r>");
-        let full = run_eager(&src).unwrap();
+        let full = run_forced(&src).unwrap();
 
         let xqse = Xqse::new();
         let budget = xqse_repro::xqeval::Budget::unlimited().limit_fuel(fuel as u64);
