@@ -201,7 +201,7 @@ pub fn exec_procedure(
 /// Execute a block: declarations in order, then statements in order
 /// (§III.B.5).
 pub fn exec_block(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<Flow> {
-    env.push_block_scope();
+    env.push_scope();
     let flow = exec_block_inner(engine, block, env);
     env.pop_scope();
     flow

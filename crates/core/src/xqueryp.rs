@@ -93,7 +93,7 @@ impl XqueryP {
     /// Execute a block, concatenating the values of its statements
     /// (the composability semantics of XQueryP).
     fn exec_block_value(&self, block: &Block, env: &mut Env) -> XdmResult<SeqOut> {
-        env.push_block_scope();
+        env.push_scope();
         let out = self.exec_block_inner(block, env);
         env.pop_scope();
         out

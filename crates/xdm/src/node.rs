@@ -161,6 +161,31 @@ enum NodeBody {
     },
 }
 
+impl NodeBody {
+    fn kind(&self) -> NodeKind {
+        match self {
+            NodeBody::Document { .. } => NodeKind::Document,
+            NodeBody::Element { .. } => NodeKind::Element,
+            NodeBody::Attribute { .. } => NodeKind::Attribute,
+            NodeBody::Text { .. } => NodeKind::Text,
+            NodeBody::Comment { .. } => NodeKind::Comment,
+            NodeBody::Pi { .. } => NodeKind::Pi,
+        }
+    }
+
+    /// Apply a kind-and-name test (the PI target is exposed as a
+    /// no-namespace name, as [`NodeHandle::name`] does).
+    fn test(&self, keep: &mut impl FnMut(NodeKind, Option<&QName>) -> bool) -> bool {
+        match self {
+            NodeBody::Element { name, .. } | NodeBody::Attribute { name, .. } => {
+                keep(self.kind(), Some(name))
+            }
+            NodeBody::Pi { target, .. } => keep(NodeKind::Pi, Some(&QName::new(target.as_str()))),
+            _ => keep(self.kind(), None),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct NodeData {
     parent: Option<NodeId>,
@@ -248,37 +273,34 @@ impl Default for NodeArena {
 /// following grafts; memoized per arena. Only meaningful on sealed
 /// arenas (the memo assumes a frozen structure).
 fn subtree_size(arena: &SharedArena, id: NodeId) -> u64 {
-    {
-        let a = arena.borrow();
-        if let Some(&s) = a.sizes.get(id.0 as usize) {
-            if s != 0 {
-                return u64::from(s);
-            }
-        }
+    let mut a = arena.borrow_mut();
+    let NodeArena { nodes, sizes, .. } = &mut *a;
+    if sizes.len() < nodes.len() {
+        sizes.resize(nodes.len(), 0);
     }
-    let (attrs, entries) = {
-        let a = arena.borrow();
-        match &a.data(id).body {
-            NodeBody::Document { children } => (0u64, children.clone()),
-            NodeBody::Element { attrs, children, .. } => {
-                (attrs.len() as u64, children.clone())
-            }
-            _ => (0, Vec::new()),
-        }
+    sized(nodes, sizes, id)
+}
+
+/// [`subtree_size`] within one borrowed arena; grafted children recurse
+/// into their own (distinct, sealed) arenas.
+fn sized(nodes: &[NodeData], sizes: &mut [u32], id: NodeId) -> u64 {
+    let idx = id.0 as usize;
+    if sizes[idx] != 0 {
+        return u64::from(sizes[idx]);
+    }
+    let (attrs, children) = match &nodes[idx].body {
+        NodeBody::Document { children } => (0, children.as_slice()),
+        NodeBody::Element { attrs, children, .. } => (attrs.len() as u64, children.as_slice()),
+        _ => (0, &[][..]),
     };
     let mut total = 1 + attrs;
-    for e in &entries {
+    for e in children {
         total += match e {
-            ChildEntry::Local(c) => subtree_size(arena, *c),
+            ChildEntry::Local(c) => sized(nodes, sizes, *c),
             ChildEntry::Graft(ctx) => subtree_size(&ctx.sub, ctx.root),
         };
     }
-    let mut a = arena.borrow_mut();
-    let idx = id.0 as usize;
-    if a.sizes.len() <= idx {
-        a.sizes.resize(idx + 1, 0);
-    }
-    a.sizes[idx] = u32::try_from(total).unwrap_or(u32::MAX);
+    sizes[idx] = u32::try_from(total).unwrap_or(u32::MAX);
     total
 }
 
@@ -502,14 +524,7 @@ impl NodeHandle {
         if let Some(h) = self.resolve_if_moved() {
             return h.kind();
         }
-        self.with(|d| match d.body {
-            NodeBody::Document { .. } => NodeKind::Document,
-            NodeBody::Element { .. } => NodeKind::Element,
-            NodeBody::Attribute { .. } => NodeKind::Attribute,
-            NodeBody::Text { .. } => NodeKind::Text,
-            NodeBody::Comment { .. } => NodeKind::Comment,
-            NodeBody::Pi { .. } => NodeKind::Pi,
-        })
+        self.with(|d| d.body.kind())
     }
 
     /// The node name (elements and attributes; PI target is exposed as
@@ -589,6 +604,47 @@ impl NodeHandle {
             return h.children();
         }
         self.entries().iter().map(|e| self.entry_handle(e)).collect()
+    }
+
+    /// The children — or, with `attributes`, the attributes — whose
+    /// kind and name pass `keep`, in document order. Walks the node's
+    /// own entry list under one arena borrow and builds handles only
+    /// for the matches.
+    pub fn children_where(
+        &self,
+        attributes: bool,
+        mut keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
+    ) -> Vec<NodeHandle> {
+        if let Some(h) = self.resolve_if_moved() {
+            return h.children_where(attributes, keep);
+        }
+        let arena = self.arena.borrow();
+        let mut out = Vec::new();
+        match &arena.data(self.id).body {
+            NodeBody::Element { attrs, .. } if attributes => {
+                for &id in attrs {
+                    if arena.data(id).body.test(&mut keep) {
+                        let link = self.link.clone();
+                        out.push(NodeHandle { arena: self.arena.clone(), id, link });
+                    }
+                }
+            }
+            NodeBody::Document { children } | NodeBody::Element { children, .. } if !attributes => {
+                for e in children {
+                    let hit = match e {
+                        ChildEntry::Local(id) => arena.data(*id).body.test(&mut keep),
+                        ChildEntry::Graft(ctx) => {
+                            ctx.sub.borrow().data(ctx.root).body.test(&mut keep)
+                        }
+                    };
+                    if hit {
+                        out.push(self.entry_handle(e));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
     }
 
     /// Attribute nodes in order (element nodes).

@@ -207,23 +207,30 @@ impl fmt::Debug for LazySeq {
     }
 }
 
-/// Internal representation: a materialized buffer, or a shared lazy
-/// pull stream.
+/// Internal representation. Zero and one items live inline, so the
+/// scalar values that dominate evaluation (literals, comparison and
+/// arithmetic results, loop variables, singleton path steps) cost no
+/// heap allocation; a built vector (from [`Sequence::from_items`], or
+/// the buffer an inline sequence is promoted to on its second item) is
+/// shared through an `Rc`; a lazy sequence shares its pull stream.
 #[derive(Debug, Clone)]
 enum Repr {
+    Empty,
+    One(Item),
     Eager(Rc<Vec<Item>>),
     Lazy(Rc<LazySeq>),
 }
 
 /// A flat, ordered sequence of items — the universal value type.
 ///
-/// Internally reference-counted with copy-on-write mutation: `clone`
-/// is O(1) (an `Rc` bump), and the binding-heavy FLWOR/variable paths
-/// of the evaluator — which clone sequences on every tuple — share one
-/// buffer until somebody actually mutates. [`Sequence::push`] /
-/// [`Sequence::extend`] use [`Rc::make_mut`], so a uniquely-owned
-/// sequence mutates in place exactly as the plain-`Vec` representation
-/// did.
+/// The empty and singleton sequences are stored inline. Longer
+/// sequences are reference-counted with copy-on-write mutation:
+/// `clone` is O(1) (an `Rc` bump), and the binding-heavy FLWOR/variable
+/// paths of the evaluator — which clone sequences on every tuple —
+/// share one buffer until somebody actually mutates. [`Sequence::push`]
+/// / [`Sequence::extend`] promote an inline sequence to a buffer on its
+/// second item and use [`Rc::make_mut`] after that, so a uniquely-owned
+/// sequence grows in place.
 ///
 /// ## Lazy sequences
 ///
@@ -257,16 +264,19 @@ impl PartialEq for Sequence {
 impl Sequence {
     /// The empty sequence.
     pub fn empty() -> Sequence {
-        Sequence { repr: Repr::Eager(Rc::new(Vec::new())) }
+        Sequence { repr: Repr::Empty }
     }
 
     /// A singleton sequence.
     pub fn one(item: Item) -> Sequence {
-        Sequence { repr: Repr::Eager(Rc::new(vec![item])) }
+        Sequence { repr: Repr::One(item) }
     }
 
     /// Build from a vector of items.
     pub fn from_items(items: Vec<Item>) -> Sequence {
+        if items.is_empty() {
+            return Sequence::empty();
+        }
         Sequence { repr: Repr::Eager(Rc::new(items)) }
     }
 
@@ -280,19 +290,18 @@ impl Sequence {
     /// has not yet been fused (i.e. pulling may still run user code).
     pub fn is_lazy(&self) -> bool {
         match &self.repr {
-            Repr::Eager(_) => false,
             Repr::Lazy(l) => !l.is_fused(),
+            _ => false,
         }
     }
 
     /// The number of items known to exist *without* pulling: the
-    /// buffer length of an eager or fused sequence, `None` while a
-    /// live producer could still yield more. Lets instrumentation
-    /// (e.g. the evaluator's `items_never_built` counter) report what
-    /// an early exit skipped without defeating the point by forcing.
+    /// length of an eager or fused sequence, `None` while a live
+    /// producer could still yield more. Lets instrumentation (e.g. the
+    /// evaluator's `items_never_built` counter) report what an early
+    /// exit skipped without defeating the point by forcing.
     pub fn known_len(&self) -> Option<usize> {
         match &self.repr {
-            Repr::Eager(v) => Some(v.len()),
             Repr::Lazy(l) => {
                 let st = l.state.borrow();
                 if st.source.is_none() {
@@ -301,6 +310,7 @@ impl Sequence {
                     None
                 }
             }
+            _ => Some(self.items().len()),
         }
     }
 
@@ -310,7 +320,6 @@ impl Sequence {
     /// early-exit consumers can be written uniformly.
     pub fn try_item(&self, i: usize) -> XdmResult<Option<Item>> {
         match &self.repr {
-            Repr::Eager(v) => Ok(v.get(i).cloned()),
             Repr::Lazy(l) => {
                 let have = l.pull_to(i + 1)?;
                 if have > i {
@@ -319,6 +328,7 @@ impl Sequence {
                     Ok(None)
                 }
             }
+            _ => Ok(self.items().get(i).cloned()),
         }
     }
 
@@ -332,38 +342,37 @@ impl Sequence {
     /// sequence this is free.
     pub fn into_forced(self) -> XdmResult<Sequence> {
         match self.repr {
-            Repr::Eager(_) => Ok(self),
             Repr::Lazy(l) => Ok(Sequence { repr: Repr::Eager(l.force()?) }),
-        }
-    }
-
-    /// Shared eager buffer (quietly forcing a lazy repr).
-    fn buf(&self) -> &Rc<Vec<Item>> {
-        match &self.repr {
-            Repr::Eager(v) => v,
-            Repr::Lazy(l) => l.forced_quiet(),
+            _ => Ok(self),
         }
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.buf().len()
+        self.items().len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.buf().is_empty()
+        self.items().is_empty()
     }
 
-    /// Slice of the items.
+    /// Slice of the items (quietly forcing a lazy sequence).
     pub fn items(&self) -> &[Item] {
-        self.buf()
+        match &self.repr {
+            Repr::Empty => &[],
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Eager(v) => v,
+            Repr::Lazy(l) => l.forced_quiet(),
+        }
     }
 
-    /// Consume into the underlying vector (no copy when this handle is
-    /// the sole owner).
+    /// Consume into a vector (no copy when this handle is the sole
+    /// owner of a buffer).
     pub fn into_items(self) -> Vec<Item> {
         let rc = match self.repr {
+            Repr::Empty => return Vec::new(),
+            Repr::One(item) => return vec![item],
             Repr::Eager(v) => v,
             // The lazy handle drops at the end of this arm; if it was
             // the only one, the forced buffer ends up uniquely owned.
@@ -374,34 +383,60 @@ impl Sequence {
 
     /// Iterate over items.
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
-        self.buf().iter()
+        self.items().iter()
     }
 
-    /// Append another sequence (flattening concatenation).
+    /// Append another sequence (flattening concatenation). Copies
+    /// only what is shared: a uniquely owned accumulator grows in
+    /// place, and a uniquely owned operand buffer is moved.
     pub fn extend(&mut self, other: Sequence) {
         if self.is_empty() {
-            // Adopt the other buffer wholesale — the common "start
+            // Adopt the other sequence wholesale — the common "start
             // from empty, append one result" accumulation pattern
             // stays allocation-free.
-            self.repr = Repr::Eager(other.buf().clone());
+            *self = other;
+            self.make_eager();
             return;
         }
-        if other.is_empty() {
-            return;
-        }
-        self.make_eager();
-        if let Repr::Eager(v) = &mut self.repr {
-            // Copies only if the buffer is shared: a uniquely owned
-            // accumulator grows in place.
-            Rc::make_mut(v).extend(other.into_items());
+        match other.repr {
+            Repr::Empty => {}
+            Repr::One(item) => self.buffer().push(item),
+            Repr::Eager(v) => match Rc::try_unwrap(v) {
+                Ok(v) => self.buffer().extend(v),
+                Err(v) => self.buffer().extend_from_slice(&v),
+            },
+            Repr::Lazy(l) => self.buffer().extend_from_slice(l.forced_quiet()),
         }
     }
 
     /// Push a single item.
     pub fn push(&mut self, item: Item) {
-        self.make_eager();
-        if let Repr::Eager(v) = &mut self.repr {
-            Rc::make_mut(v).push(item);
+        if self.is_empty() {
+            self.repr = Repr::One(item);
+        } else {
+            self.buffer().push(item);
+        }
+    }
+
+    /// The uniquely owned item buffer, promoting an inline sequence
+    /// and copying a shared buffer.
+    fn buffer(&mut self) -> &mut Vec<Item> {
+        let rc = match std::mem::replace(&mut self.repr, Repr::Empty) {
+            Repr::Empty => Rc::new(Vec::new()),
+            Repr::One(first) => {
+                let mut v = Vec::with_capacity(4);
+                v.push(first);
+                Rc::new(v)
+            }
+            Repr::Eager(v) => v,
+            // The lazy handle drops at the end of this arm; if it was
+            // the only one, the forced buffer ends up uniquely owned.
+            Repr::Lazy(l) => l.forced_quiet().clone(),
+        };
+        self.repr = Repr::Eager(rc);
+        match &mut self.repr {
+            Repr::Eager(v) => Rc::make_mut(v),
+            _ => unreachable!("just set to Eager"),
         }
     }
 
@@ -490,26 +525,22 @@ impl Sequence {
     /// (required after `/` steps and `|` unions). Errors if the
     /// sequence contains non-node items.
     pub fn document_order_dedup(self) -> XdmResult<Sequence> {
-        let mut nodes: Vec<NodeHandle> = Vec::with_capacity(self.len());
-        for it in self.into_items() {
-            match it {
-                Item::Node(n) => nodes.push(n),
-                Item::Atomic(a) => {
-                    return Err(XdmError::new(
-                        ErrorCode::XPTY0004,
-                        format!(
-                            "path/union result must be nodes, found {}",
-                            a.type_of()
-                        ),
-                    ))
-                }
-            }
+        if let Some(Item::Atomic(a)) = self.iter().find(|it| !it.is_node()) {
+            return Err(XdmError::new(
+                ErrorCode::XPTY0004,
+                format!("path/union result must be nodes, found {}", a.type_of()),
+            ));
         }
-        nodes.sort_by(|a, b| a.document_order(b));
-        nodes.dedup();
-        Ok(Sequence::from_items(
-            nodes.into_iter().map(Item::Node).collect(),
-        ))
+        if self.len() < 2 {
+            return Ok(self);
+        }
+        let mut items = self.into_items();
+        items.sort_by(|a, b| match (a, b) {
+            (Item::Node(a), Item::Node(b)) => a.document_order(b),
+            _ => std::cmp::Ordering::Equal,
+        });
+        items.dedup();
+        Ok(Sequence::from_items(items))
     }
 }
 
@@ -533,9 +564,13 @@ impl FromIterator<Item> for Sequence {
 
 impl IntoIterator for Sequence {
     type Item = Item;
-    type IntoIter = std::vec::IntoIter<Item>;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Item>, std::vec::IntoIter<Item>>;
+    /// A singleton iterates without building a vector.
     fn into_iter(self) -> Self::IntoIter {
-        self.into_items().into_iter()
+        match self.repr {
+            Repr::One(item) => Some(item).into_iter().chain(Vec::new()),
+            repr => None.into_iter().chain(Sequence { repr }.into_items()),
+        }
     }
 }
 
@@ -726,6 +761,39 @@ mod tests {
         acc.extend(Sequence::one(Item::integer(7)));
         assert_eq!(shared.len(), 64);
         assert_eq!(acc.len(), 65);
+    }
+
+    #[test]
+    fn inline_sequences_promote_on_the_second_item() {
+        let mut s = Sequence::empty();
+        assert_eq!((s.len(), s.known_len()), (0, Some(0)));
+        s.push(Item::integer(1));
+        assert_eq!(s.items(), &[Item::integer(1)]);
+        assert_eq!(s.try_item(0).unwrap(), Some(Item::integer(1)));
+        assert_eq!(s.try_item(1).unwrap(), None);
+        let shared = s.clone();
+        s.extend(Sequence::one(Item::integer(2)));
+        s.extend(Sequence::empty());
+        s.push(Item::integer(3));
+        assert_eq!(s.items(), &[Item::integer(1), Item::integer(2), Item::integer(3)]);
+        assert_eq!(shared.len(), 1, "a clone never sees later growth");
+        assert_eq!(Sequence::from_items(Vec::new()), Sequence::empty());
+        assert_eq!(Sequence::one(Item::integer(4)).into_iter().collect::<Vec<_>>(), vec![
+            Item::integer(4)
+        ]);
+        assert_eq!(s.into_iter().count(), 3);
+        // Appending onto the empty sequence adopts the operand.
+        let mut acc = Sequence::empty();
+        acc.extend(Sequence::one(Item::integer(5)));
+        assert_eq!(acc, Sequence::one(Item::integer(5)));
+    }
+
+    #[test]
+    fn document_order_dedup_passes_a_single_node_through() {
+        let n = NodeHandle::root_element(QName::new("e"));
+        let one = Sequence::one(Item::Node(n.clone()));
+        assert_eq!(one.document_order_dedup().unwrap(), Sequence::one(Item::Node(n)));
+        assert!(Sequence::empty().document_order_dedup().unwrap().is_empty());
     }
 
     #[test]

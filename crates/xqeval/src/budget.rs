@@ -109,21 +109,22 @@ impl BudgetExceeded {
 ///
 /// All state is atomic, so one `Arc<Budget>` can be shared between
 /// the serving worker executing the request, the admission layer that
-/// stamped it, and a client thread that may cancel it. Fuel and
-/// memory are charged by the single worker thread evaluating the
-/// request; cross-thread access to those is read-mostly (a concurrent
-/// reader may miss one in-flight charge, which is harmless).
+/// stamped it, and a client thread that may cancel it (the fuel limit
+/// is fixed when the budget is built). Steps and memory are charged by
+/// the single worker thread evaluating the request; cross-thread access
+/// to those is read-mostly (a concurrent reader may miss one in-flight
+/// charge, which is harmless).
 pub struct Budget {
     clock: BudgetClock,
     /// Absolute deadline in clock ms; [`UNLIMITED`] = none.
     deadline_ms: AtomicU64,
-    /// Remaining evaluation steps; [`UNLIMITED`] = no limit.
-    fuel: AtomicU64,
+    /// Evaluation steps allowed; [`UNLIMITED`] = no limit.
+    fuel_limit: u64,
     /// Remaining XDM allocation units; [`UNLIMITED`] = no limit.
     memory: AtomicU64,
     cancelled: AtomicBool,
-    /// Total steps charged (drives the strided deadline check and the
-    /// overhead guard's step accounting).
+    /// Total steps charged: the fuel used, and what drives the strided
+    /// deadline check.
     steps: AtomicU64,
     /// Loop-head checks taken (drives [`Budget::loop_check`]'s
     /// deadline stride, independent of the step stride).
@@ -134,7 +135,7 @@ impl std::fmt::Debug for Budget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Budget")
             .field("deadline_ms", &self.deadline_ms.load(Ordering::Relaxed))
-            .field("fuel", &self.fuel.load(Ordering::Relaxed))
+            .field("fuel", &self.remaining_fuel())
             .field("memory", &self.memory.load(Ordering::Relaxed))
             .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
             .field("steps", &self.steps.load(Ordering::Relaxed))
@@ -160,7 +161,7 @@ impl Budget {
         Budget {
             clock,
             deadline_ms: AtomicU64::new(UNLIMITED),
-            fuel: AtomicU64::new(UNLIMITED),
+            fuel_limit: UNLIMITED,
             memory: AtomicU64::new(UNLIMITED),
             cancelled: AtomicBool::new(false),
             steps: AtomicU64::new(0),
@@ -177,8 +178,8 @@ impl Budget {
     }
 
     /// Limit evaluation fuel to `steps` (builder style).
-    pub fn limit_fuel(self, steps: u64) -> Budget {
-        self.fuel.store(steps, Ordering::Relaxed);
+    pub fn limit_fuel(mut self, steps: u64) -> Budget {
+        self.fuel_limit = steps;
         self
     }
 
@@ -192,7 +193,7 @@ impl Budget {
     /// worth installing unless cancellation is wanted.
     pub fn is_limited(&self) -> bool {
         self.deadline_ms.load(Ordering::Relaxed) != UNLIMITED
-            || self.fuel.load(Ordering::Relaxed) != UNLIMITED
+            || self.fuel_limit != UNLIMITED
             || self.memory.load(Ordering::Relaxed) != UNLIMITED
     }
 
@@ -224,9 +225,9 @@ impl Budget {
 
     /// Remaining fuel, `None` when unlimited.
     pub fn remaining_fuel(&self) -> Option<u64> {
-        match self.fuel.load(Ordering::Relaxed) {
+        match self.fuel_limit {
             UNLIMITED => None,
-            n => Some(n),
+            limit => Some(limit.saturating_sub(self.steps.load(Ordering::Relaxed))),
         }
     }
 
@@ -300,17 +301,14 @@ impl Budget {
     /// (DESIGN.md §11 deviation list).
     #[inline]
     pub fn step(&self) -> XdmResult<()> {
-        let fuel = self.fuel.load(Ordering::Relaxed);
-        if fuel != UNLIMITED {
-            if fuel == 0 {
-                return Err(self.exceed_error(BudgetExceeded::Fuel));
-            }
-            self.fuel.store(fuel - 1, Ordering::Relaxed);
-        }
         // Single-writer counter: only the evaluating thread steps;
         // other threads just read. load+store keeps an RMW out of
-        // the evaluator's hot loop.
+        // the evaluator's hot loop. An unlimited budget never reaches
+        // `UNLIMITED` steps.
         let n = self.steps.load(Ordering::Relaxed);
+        if n >= self.fuel_limit {
+            return Err(self.exceed_error(BudgetExceeded::Fuel));
+        }
         self.steps.store(n + 1, Ordering::Relaxed);
         if n.is_multiple_of(DEADLINE_STRIDE) {
             if self.cancelled.load(Ordering::Relaxed) {

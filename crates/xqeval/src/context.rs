@@ -25,12 +25,16 @@ pub struct Focus {
 
 /// The dynamic evaluation context.
 ///
-/// Variable bindings live in a stack of frames; XQSE block variables
-/// are *assignable* and marked as such, while XQuery `for`/`let`
-/// bindings are read-only (the paper, §III.B.5: "Block variables
-/// differ from let variables in that they can be assigned").
+/// Variable bindings live on one flat stack, innermost last; a scope
+/// is the suffix above its mark. XQSE block variables are *assignable*
+/// and marked as such, while XQuery `for`/`let` bindings are read-only
+/// (the paper, §III.B.5: "Block variables differ from let variables in
+/// that they can be assigned").
+#[derive(Default)]
 pub struct Env {
-    frames: Vec<Frame>,
+    vars: Vec<(QName, Binding)>,
+    /// Stack height at the start of each open scope.
+    marks: Vec<usize>,
     /// The current focus, if any.
     pub focus: Option<Focus>,
     /// Open pending-update list: present only inside an XQSE update
@@ -63,10 +67,6 @@ pub struct Env {
     pub write_epoch: u64,
 }
 
-struct Frame {
-    vars: HashMap<QName, Binding>,
-}
-
 #[derive(Debug, Clone)]
 struct Binding {
     value: Option<Sequence>,
@@ -76,24 +76,10 @@ struct Binding {
     ty: Option<SequenceType>,
 }
 
-impl Default for Env {
-    fn default() -> Self {
-        Env::new()
-    }
-}
-
 impl Env {
     /// An empty context.
     pub fn new() -> Env {
-        Env {
-            frames: vec![Frame { vars: HashMap::new() }],
-            focus: None,
-            pul: None,
-            trace: Rc::new(RefCell::new(Vec::new())),
-            join_cache: HashMap::new(),
-            ws_memo: HashMap::new(),
-            write_epoch: 0,
-        }
+        Env::default()
     }
 
     /// Drop every memoized join index *and* advance the write epoch —
@@ -118,29 +104,22 @@ impl Env {
         self.write_epoch += 1;
     }
 
-    /// Push a read-only (expression) scope.
+    /// Open a scope: bindings made from here on go when it is popped.
     pub fn push_scope(&mut self) {
-        self.frames.push(Frame { vars: HashMap::new() });
-    }
-
-    /// Push an XQSE block scope (declared variables are assignable).
-    pub fn push_block_scope(&mut self) {
-        self.frames.push(Frame { vars: HashMap::new() });
+        self.marks.push(self.vars.len());
     }
 
     /// Pop the innermost scope.
     pub fn pop_scope(&mut self) {
-        debug_assert!(self.frames.len() > 1, "cannot pop the root scope");
-        self.frames.pop();
+        debug_assert!(!self.marks.is_empty(), "cannot pop the root scope");
+        if let Some(mark) = self.marks.pop() {
+            self.vars.truncate(mark);
+        }
     }
 
     /// Bind a read-only variable (for/let/function parameters).
     pub fn bind(&mut self, name: QName, value: Sequence) {
-        self.frames
-            .last_mut()
-            .expect("at least one frame")
-            .vars
-            .insert(name, Binding { value: Some(value), assignable: false, ty: None });
+        self.define(name, Binding { value: Some(value), assignable: false, ty: None });
     }
 
     /// Declare an XQSE block variable, optionally initialized and
@@ -151,64 +130,67 @@ impl Env {
         value: Option<Sequence>,
         ty: Option<SequenceType>,
     ) {
-        self.frames
-            .last_mut()
-            .expect("at least one frame")
-            .vars
-            .insert(name, Binding { value, assignable: true, ty });
+        self.define(name, Binding { value, assignable: true, ty });
+    }
+
+    /// Add a binding to the innermost scope, replacing one of the same
+    /// name made in that scope.
+    fn define(&mut self, name: QName, binding: Binding) {
+        let start = self.marks.last().copied().unwrap_or(0);
+        match self.vars[start..].iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = binding,
+            None => self.vars.push((name, binding)),
+        }
+    }
+
+    /// The innermost binding of `name`.
+    fn find(&self, name: &QName) -> Option<&Binding> {
+        self.vars.iter().rev().find(|(n, _)| n == name).map(|(_, b)| b)
     }
 
     /// Look up a variable; uninitialized block variables raise
     /// `XQSE0002` ("Any reference to such a variable … is an error
     /// until it has been initially assigned to", §III.B.5).
     pub fn lookup(&self, name: &QName) -> XdmResult<Sequence> {
-        for frame in self.frames.iter().rev() {
-            if let Some(b) = frame.vars.get(name) {
-                return match &b.value {
-                    Some(v) => Ok(v.clone()),
-                    None => Err(XdmError::new(
-                        ErrorCode::XQSE0002,
-                        format!("block variable ${name} referenced before assignment"),
-                    )),
-                };
-            }
+        match self.find(name) {
+            Some(Binding { value: Some(v), .. }) => Ok(v.clone()),
+            Some(_) => Err(XdmError::new(
+                ErrorCode::XQSE0002,
+                format!("block variable ${name} referenced before assignment"),
+            )),
+            None => Err(XdmError::new(
+                ErrorCode::XPST0008,
+                format!("undefined variable ${name}"),
+            )),
         }
-        Err(XdmError::new(
-            ErrorCode::XPST0008,
-            format!("undefined variable ${name}"),
-        ))
     }
 
     /// Is the variable bound at all (used by `set` validation)?
     pub fn is_declared(&self, name: &QName) -> bool {
-        self.frames.iter().rev().any(|f| f.vars.contains_key(name))
+        self.find(name).is_some()
     }
 
     /// Assign to a block variable (`set $x := …`). Only variables
     /// declared by a block variable declaration may be assigned
     /// (`XQSE0001` otherwise).
     pub fn assign(&mut self, name: &QName, value: Sequence) -> XdmResult<()> {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(b) = frame.vars.get_mut(name) {
-                if !b.assignable {
-                    return Err(XdmError::new(
-                        ErrorCode::XQSE0001,
-                        format!(
-                            "${name} is not a block variable and cannot be assigned"
-                        ),
-                    ));
-                }
-                if let Some(ty) = &b.ty {
-                    ty.check(&value, &format!("set ${name}"))?;
-                }
-                b.value = Some(value);
-                return Ok(());
-            }
+        let Some((_, b)) = self.vars.iter_mut().rev().find(|(n, _)| n == name) else {
+            return Err(XdmError::new(
+                ErrorCode::XQSE0001,
+                format!("assignment to undeclared variable ${name}"),
+            ));
+        };
+        if !b.assignable {
+            return Err(XdmError::new(
+                ErrorCode::XQSE0001,
+                format!("${name} is not a block variable and cannot be assigned"),
+            ));
         }
-        Err(XdmError::new(
-            ErrorCode::XQSE0001,
-            format!("assignment to undeclared variable ${name}"),
-        ))
+        if let Some(ty) = &b.ty {
+            ty.check(&value, &format!("set ${name}"))?;
+        }
+        b.value = Some(value);
+        Ok(())
     }
 
     /// Emit a trace message (fn:trace and the XQSE engine's own
@@ -235,18 +217,18 @@ impl Env {
         out
     }
 
-    /// The number of live frames (used by tests to verify balanced
+    /// The number of open scopes (used by tests to verify balanced
     /// push/pop even across errors).
     pub fn depth(&self) -> usize {
-        self.frames.len()
+        self.marks.len()
     }
 
     /// An owned snapshot of this context for a detached pull stream
     /// (the lazy FLWOR pipeline evaluates its clauses *after* the
     /// creating `eval` call has returned, so it cannot borrow `self`).
     ///
-    /// The snapshot sees exactly the bindings visible here — frames
-    /// are flattened innermost-wins into one read-only frame — plus
+    /// The snapshot copies the binding stack as one root scope
+    /// (shadowed bindings stay behind the ones that shadow them), plus
     /// the current focus and write epoch. The trace sink is shared
     /// (`fn:trace` from streamed tuples still reaches the caller's
     /// buffer). Deliberately NOT carried over: the open PUL (streams
@@ -255,21 +237,12 @@ impl Env {
     /// rebuilt privately by the stream; sharing would need `RefCell`
     /// plumbing for no measured win).
     pub fn fork_for_stream(&self) -> Env {
-        let mut vars: HashMap<QName, Binding> = HashMap::new();
-        for frame in &self.frames {
-            // Later (inner) frames overwrite: shadowing preserved.
-            for (name, b) in &frame.vars {
-                vars.insert(name.clone(), b.clone());
-            }
-        }
         Env {
-            frames: vec![Frame { vars }],
+            vars: self.vars.clone(),
             focus: self.focus.clone(),
-            pul: None,
             trace: self.trace.clone(),
-            join_cache: HashMap::new(),
-            ws_memo: HashMap::new(),
             write_epoch: self.write_epoch,
+            ..Env::default()
         }
     }
 }
@@ -318,7 +291,7 @@ mod tests {
     #[test]
     fn block_variables_are_assignable() {
         let mut env = Env::new();
-        env.push_block_scope();
+        env.push_scope();
         env.declare_block_var(q("x"), None, None);
         // Reference before assignment is XQSE0002.
         let err = env.lookup(&q("x")).unwrap_err();
@@ -339,12 +312,26 @@ mod tests {
         // A `set` inside a while body assigns the block variable of
         // the enclosing block.
         let mut env = Env::new();
-        env.push_block_scope();
+        env.push_scope();
         env.declare_block_var(q("acc"), Some(Sequence::empty()), None);
         env.push_scope(); // e.g. loop-internal expression scope
         env.assign(&q("acc"), Sequence::one(Item::integer(1))).unwrap();
         env.pop_scope();
         assert_eq!(env.lookup(&q("acc")).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rebinding_in_one_scope_replaces_the_binding() {
+        let mut env = Env::new();
+        env.push_scope();
+        for i in 0..10 {
+            env.bind(q("x"), Sequence::one(Item::integer(i)));
+        }
+        assert_eq!(env.vars.len(), 1, "a per-tuple rebind must not grow the stack");
+        assert_eq!(env.lookup(&q("x")).unwrap().items()[0], Item::integer(9));
+        env.pop_scope();
+        assert!(env.lookup(&q("x")).unwrap_err().is(ErrorCode::XPST0008));
+        assert_eq!(env.depth(), 0);
     }
 
     #[test]

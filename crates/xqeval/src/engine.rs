@@ -416,7 +416,7 @@ struct EngineInner {
     /// the engine toggle.
     opt_mirrors: RefCell<Vec<Arc<AtomicBool>>>,
     /// Pushdown capabilities by arity-0 read-function name.
-    capabilities: RefCell<HashMap<QName, SourceCapability>>,
+    capabilities: RefCell<HashMap<QName, Rc<SourceCapability>>>,
     /// Flush hooks for per-source materialization caches; invoked by
     /// [`Engine::invalidate_materialization`] when an update statement
     /// may have mutated cached trees in place.
@@ -823,11 +823,11 @@ impl Engine {
     /// Advertise a pushdown capability for a registered arity-0 read
     /// function.
     pub fn register_source_capability(&self, name: QName, cap: SourceCapability) {
-        self.inner.capabilities.borrow_mut().insert(name, cap);
+        self.inner.capabilities.borrow_mut().insert(name, Rc::new(cap));
     }
 
     /// The pushdown capability of a read function, if advertised.
-    pub fn source_capability(&self, name: &QName) -> Option<SourceCapability> {
+    pub fn source_capability(&self, name: &QName) -> Option<Rc<SourceCapability>> {
         self.inner.capabilities.borrow().get(name).cloned()
     }
 

@@ -309,6 +309,52 @@ impl<'e> Evaluator<'e> {
                 };
                 Ok(Sequence::one(Item::boolean(res)))
             }
+            Expr::If(c, t, e) => {
+                if self.eval(c, env)?.effective_boolean()? {
+                    self.eval(t, env)
+                } else {
+                    self.eval(e, env)
+                }
+            }
+            Expr::Flwor { clauses, ret } => crate::stream::drain(self, clauses, ret, env),
+            Expr::Quantified { quantifier, bindings, satisfies } => {
+                self.eval_quantified(*quantifier, bindings, satisfies, env)
+            }
+            Expr::Path { start, steps } => self.eval_path(start, steps, env),
+            Expr::Filter { base, predicates } => {
+                if let Some((first, rest)) = predicates.split_first() {
+                    if let Some(win) = positional_window(first) {
+                        return self.streaming_positional_filter(base, win, rest, env);
+                    }
+                }
+                let mut seq = self.eval(base, env)?;
+                for p in predicates {
+                    seq = self.apply_predicate(seq, p, env)?;
+                }
+                Ok(seq)
+            }
+            Expr::FunctionCall { name, args } => {
+                if let Some(r) = self.try_streaming_call(name, args, env) {
+                    return r;
+                }
+                let mut argv = Vec::with_capacity(args.len());
+                for a in args {
+                    argv.push(self.eval(a, env)?);
+                }
+                self.call_function_inner(name, argv, env)
+            }
+            _ => self.eval_other(expr, env),
+        }
+    }
+
+    /// The remaining expression forms: node and set comparisons,
+    /// `typeswitch`, constructors, type operators and updates. They
+    /// live outside [`Evaluator::eval`] so that its stack frame, which
+    /// every level of a deep recursion pays, holds only the locals of
+    /// the common forms.
+    #[inline(never)]
+    fn eval_other(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
+        match expr {
             Expr::Node(op, l, r) => {
                 let lv = self.eval(l, env)?;
                 let rv = self.eval(r, env)?;
@@ -353,17 +399,6 @@ impl<'e> Evaluator<'e> {
                 };
                 Ok(Sequence::from_items(out))
             }
-            Expr::If(c, t, e) => {
-                if self.eval(c, env)?.effective_boolean()? {
-                    self.eval(t, env)
-                } else {
-                    self.eval(e, env)
-                }
-            }
-            Expr::Flwor { clauses, ret } => crate::stream::drain(self, clauses, ret, env),
-            Expr::Quantified { quantifier, bindings, satisfies } => {
-                self.eval_quantified(*quantifier, bindings, satisfies, env)
-            }
             Expr::Typeswitch { operand, cases } => {
                 let v = self.eval(operand, env)?;
                 for case in cases {
@@ -382,29 +417,6 @@ impl<'e> Evaluator<'e> {
                     }
                 }
                 Ok(Sequence::empty())
-            }
-            Expr::Path { start, steps } => self.eval_path(start, steps, env),
-            Expr::Filter { base, predicates } => {
-                if let Some((first, rest)) = predicates.split_first() {
-                    if let Some(win) = positional_window(first) {
-                        return self.streaming_positional_filter(base, win, rest, env);
-                    }
-                }
-                let mut seq = self.eval(base, env)?;
-                for p in predicates {
-                    seq = self.apply_predicate(seq, p, env)?;
-                }
-                Ok(seq)
-            }
-            Expr::FunctionCall { name, args } => {
-                if let Some(r) = self.try_streaming_call(name, args, env) {
-                    return r;
-                }
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, env)?);
-                }
-                self.call_function_inner(name, argv, env)
             }
             Expr::DirectElement(de) => {
                 // XDM allocation ceiling: one admission unit up front,
@@ -624,6 +636,7 @@ impl<'e> Evaluator<'e> {
                 env.pop_scope();
                 result
             }
+            _ => unreachable!("evaluated by eval"),
         }
     }
 
@@ -774,7 +787,7 @@ impl<'e> Evaluator<'e> {
                 .find(|(c, _)| c == &col)
                 .map(|(_, cl)| *cl)?;
             Some(Pushdown {
-                cap: cap.clone(),
+                cap: Rc::clone(&cap),
                 col,
                 class,
                 key_steps: steps,
@@ -993,7 +1006,9 @@ impl<'e> Evaluator<'e> {
         }
         let mut current = input;
         for step in steps {
-            let mut out: Vec<Item> = Vec::new();
+            let test =
+                |kind, name: Option<&QName>| node_test_matches(&step.test, kind, name, step.axis);
+            let mut out = Sequence::empty();
             for item in current.iter() {
                 let Item::Node(node) = item else {
                     return Err(XdmError::new(
@@ -1001,17 +1016,27 @@ impl<'e> Evaluator<'e> {
                         "path step applied to an atomic value",
                     ));
                 };
-                let candidates = axis_nodes(node, step.axis);
-                let mut matched: Vec<NodeHandle> = candidates
-                    .into_iter()
-                    .filter(|n| node_test_matches(&step.test, n, step.axis))
-                    .collect();
+                let mut matched: Vec<NodeHandle> = match step.axis {
+                    Axis::Child | Axis::Attribute => {
+                        node.children_where(step.axis == Axis::Attribute, test)
+                    }
+                    axis => axis_nodes(node, axis)
+                        .into_iter()
+                        .filter(|n| test(n.kind(), n.name().as_ref()))
+                        .collect(),
+                };
                 for pred in &step.predicates {
                     matched = self.filter_nodes(matched, pred, env)?;
                 }
-                out.extend(matched.into_iter().map(Item::Node));
+                for n in matched {
+                    out.push(Item::Node(n));
+                }
             }
-            current = Sequence::from_items(out).document_order_dedup()?;
+            // A child or attribute step from one node already yields
+            // its matches in document order, without duplicates.
+            let ordered =
+                current.len() == 1 && matches!(step.axis, Axis::Child | Axis::Attribute);
+            current = if ordered { out } else { out.document_order_dedup()? };
         }
         Ok(current)
     }
@@ -1293,9 +1318,10 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 1. Builtins.
-        if let Some(r) = functions::dispatch(self.engine, env, name, args.clone()) {
-            return r;
-        }
+        let args = match functions::dispatch(self.engine, env, name, args) {
+            Ok(r) => return r,
+            Err(args) => args,
+        };
         // 2. Registered functions.
         if let Some(f) = self.engine.function(name, args.len()) {
             return match f {
@@ -1522,7 +1548,7 @@ impl<'e> Evaluator<'e> {
 
 /// A detected pushdown opportunity.
 pub(crate) struct Pushdown {
-    cap: crate::engine::SourceCapability,
+    cap: Rc<crate::engine::SourceCapability>,
     col: String,
     class: crate::engine::ColClass,
     key_steps: Vec<Step>,
@@ -1597,13 +1623,12 @@ fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
 }
 
 pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
-    let atoms = seq.atomized();
-    match atoms.len() {
-        0 => Ok(None),
-        1 => Ok(Some(atoms.into_iter().next().expect("one"))),
-        n => Err(XdmError::new(
+    match seq.items() {
+        [] => Ok(None),
+        [item] => Ok(Some(item.atomize())),
+        items => Err(XdmError::new(
             ErrorCode::XPTY0004,
-            format!("{what}: expected at most one item, got {n}"),
+            format!("{what}: expected at most one item, got {}", items.len()),
         )),
     }
 }
@@ -1950,36 +1975,24 @@ fn principal_kind(axis: Axis) -> NodeKind {
     }
 }
 
-fn node_test_matches(test: &NodeTest, node: &NodeHandle, axis: Axis) -> bool {
+/// A step's node test against a node's kind and name (a PI's target
+/// is its name).
+fn node_test_matches(test: &NodeTest, kind: NodeKind, name: Option<&QName>, axis: Axis) -> bool {
+    let named = |q: &Option<QName>| q.as_ref().is_none_or(|q| name == Some(q));
     match test {
-        NodeTest::Kind(k) => kind_test_matches(k, node),
-        name_test => {
-            node.kind() == principal_kind(axis)
-                && name_test.matches_name(node.name().as_ref())
-        }
-    }
-}
-
-fn kind_test_matches(k: &KindTest, node: &NodeHandle) -> bool {
-    match k {
-        KindTest::AnyKind => true,
-        KindTest::Document => node.kind() == NodeKind::Document,
-        KindTest::Element(name) => {
-            node.kind() == NodeKind::Element
-                && name.as_ref().is_none_or(|q| node.name().as_ref() == Some(q))
-        }
-        KindTest::Attribute(name) => {
-            node.kind() == NodeKind::Attribute
-                && name.as_ref().is_none_or(|q| node.name().as_ref() == Some(q))
-        }
-        KindTest::Text => node.kind() == NodeKind::Text,
-        KindTest::Comment => node.kind() == NodeKind::Comment,
-        KindTest::Pi(target) => {
-            node.kind() == NodeKind::Pi
-                && target
-                    .as_ref()
-                    .is_none_or(|t| node.name().is_some_and(|q| q.local == *t))
-        }
+        NodeTest::Kind(k) => match k {
+            KindTest::AnyKind => true,
+            KindTest::Document => kind == NodeKind::Document,
+            KindTest::Element(q) => kind == NodeKind::Element && named(q),
+            KindTest::Attribute(q) => kind == NodeKind::Attribute && named(q),
+            KindTest::Text => kind == NodeKind::Text,
+            KindTest::Comment => kind == NodeKind::Comment,
+            KindTest::Pi(target) => {
+                kind == NodeKind::Pi
+                    && target.as_ref().is_none_or(|t| name.is_some_and(|q| q.local == *t))
+            }
+        },
+        name_test => kind == principal_kind(axis) && name_test.matches_name(name),
     }
 }
 

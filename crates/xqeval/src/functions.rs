@@ -18,17 +18,18 @@ use crate::context::Env;
 use crate::engine::Engine;
 use crate::regex_lite::Regex;
 
-/// Try to execute a builtin. `None` means "not a builtin".
+/// Try to execute a builtin. `Err` hands the arguments back: the name
+/// is not a builtin.
 pub fn dispatch(
     engine: &Engine,
     env: &mut Env,
     name: &QName,
     args: Vec<Sequence>,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     match name.ns.as_deref() {
         Some(FN_NS) => dispatch_fn(engine, env, &name.local, args),
-        Some(XS_NS) => Some(xs_constructor(&name.local, args)),
-        _ => None,
+        Some(XS_NS) => Ok(xs_constructor(&name.local, args)),
+        _ => Err(args),
     }
 }
 
@@ -112,7 +113,7 @@ fn dispatch_fn(
     env: &mut Env,
     local: &str,
     mut args: Vec<Sequence>,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     let arity = args.len();
     let result: XdmResult<Sequence> = match (local, arity) {
         // ---------------------------------------------------- accessors
@@ -693,9 +694,9 @@ fn dispatch_fn(
                 _ => Ok(Sequence::empty()),
             }
         })(),
-        _ => return None,
+        _ => return Err(args),
     };
-    Some(result)
+    Ok(result)
 }
 
 /// Coerce untyped atomics to double for aggregation order (per F&O).

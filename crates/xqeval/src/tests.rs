@@ -1347,3 +1347,19 @@ fn batch_barrier_issues_one_flight_and_hoists_closed_requests() {
     assert_eq!(ints(&out), vec![1, 1, 1, 1]);
     assert_eq!(calls.get(), 2);
 }
+
+#[test]
+fn fork_for_stream_sees_the_innermost_bindings() {
+    let q = QName::new;
+    let mut env = Env::new();
+    env.bind(q("x"), Sequence::one(Item::integer(1)));
+    env.push_scope();
+    env.bind(q("x"), Sequence::one(Item::integer(2)));
+    env.declare_block_var(q("acc"), None, None);
+    let mut fork = env.fork_for_stream();
+    assert_eq!(fork.depth(), 0);
+    assert_eq!(fork.lookup(&q("x")).unwrap().items()[0], Item::integer(2));
+    assert!(fork.lookup(&q("acc")).unwrap_err().is(ErrorCode::XQSE0002));
+    fork.assign(&q("acc"), Sequence::empty()).unwrap();
+    assert!(env.lookup(&q("acc")).unwrap_err().is(ErrorCode::XQSE0002), "the fork is a copy");
+}
