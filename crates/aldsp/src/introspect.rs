@@ -29,7 +29,7 @@ use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
-use xqeval::{ColClass, Engine, Env, OptCounters, SourceCapability};
+use xqeval::{ColClass, Engine, Env, OptCounters, SourceCapability, SourceSelectFn};
 
 use crate::lineage::SourceRef;
 use crate::rel::{ColumnType, Condition, Database, SqlValue, TableSchema, WriteOp};
@@ -55,14 +55,21 @@ pub fn introspect_relational(
     // while the engine flag is an `Rc<Cell<bool>>`.
     engine.register_opt_mirror(db.opt_flag());
     let table_names = db.table_names();
+    // Read method: TABLE() returns all rows as XML. Registered for
+    // every table first: navigation functions answer through the
+    // child table's keyed select.
+    let mut selects = HashMap::new();
+    for table in &table_names {
+        let schema = db.schema(table)?;
+        let ns = service_namespace(&db.name, table);
+        selects.insert(table.clone(), register_read_all(engine, db, &schema, &ns));
+    }
     for table in &table_names {
         let schema = db.schema(table)?;
         crate::decompose::register_schema(&db.name, &schema);
         let ns = service_namespace(&db.name, table);
         let mut methods = Vec::new();
 
-        // Read method: TABLE() returns all rows as XML.
-        register_read_all(engine, db, &schema, &ns);
         methods.push(Method { name: table.clone(), kind: MethodKind::Read, arity: 0 });
 
         // Keyed read helper for single-column PKs: getBy<PK>($v) — the
@@ -94,7 +101,8 @@ pub fn introspect_relational(
             let other_schema = db.schema(other)?;
             for fk in &other_schema.foreign_keys {
                 if &fk.ref_table == table {
-                    register_navigation(engine, db, &schema, &other_schema, fk, &ns);
+                    let select = selects.get(other).cloned();
+                    register_navigation(engine, db, &schema, &other_schema, fk, &ns, select);
                     methods.push(Method {
                         name: format!("get{other}"),
                         kind: MethodKind::Navigation,
@@ -155,7 +163,14 @@ fn seal_sequence(seq: &Sequence) {
     }
 }
 
-fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {
+/// Register `TABLE()` with its source capability; returns the keyed
+/// select the capability advertises.
+fn register_read_all(
+    engine: &Engine,
+    db: &Database,
+    schema: &TableSchema,
+    ns: &str,
+) -> SourceSelectFn {
     let opt = engine.optimize_handle();
     let counters = engine.opt_counters();
 
@@ -215,15 +230,19 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
                 Err(_) => return Ok(Sequence::empty()),
             };
             if batch_on.get() {
-                let ver = db.table_version(&table).unwrap_or(0);
+                let live = db.table_version(&table).unwrap_or(0);
                 let ck = format!("{col}\u{1}{key}");
                 if let Some((v0, seq)) = select_cache.borrow_mut().get(&ck) {
-                    if *v0 == ver {
+                    if *v0 == live {
                         return Ok(seq.clone());
                     }
                 }
                 OptCounters::bump(&counters.indexed_selects);
-                let rows = db.select_indexed(&table, &vec![(col.to_string(), v)])?;
+                // Stamp the entry with the version the rows were read
+                // at: rows served stale from an older snapshot never
+                // match the live version, so they die with the outage.
+                let (ver, rows) =
+                    db.select_indexed_versioned(&table, &vec![(col.to_string(), v)])?;
                 let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
                 seal_sequence(&seq);
                 select_cache.borrow_mut().insert(ck, (ver, seq.clone()));
@@ -232,7 +251,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
             OptCounters::bump(&counters.indexed_selects);
             let rows = db.select_indexed(&table, &vec![(col.to_string(), v)])?;
             Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows))
-        }) as Rc<dyn Fn(&mut Env, &str, &str) -> XdmResult<Sequence>>
+        }) as SourceSelectFn
     };
     let version = {
         let db = db.clone();
@@ -253,7 +272,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
     };
     engine.register_source_capability(
         QName::with_ns(ns.to_string(), schema.name.clone()),
-        SourceCapability { columns, select, version, served_version },
+        SourceCapability { columns, select: select.clone(), version, served_version },
     );
 
     let db = db.clone();
@@ -300,6 +319,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
             }
         }),
     );
+    select
 }
 
 fn register_read_by_key(
@@ -458,6 +478,15 @@ fn pk_condition(schema: &TableSchema, row: &[SqlValue]) -> XdmResult<Condition> 
         .collect()
 }
 
+/// Register `get<CHILD>($parent)` for a foreign key of `child_schema`
+/// referencing `parent_schema`.
+///
+/// A single-column key whose column types agree and can be pushed
+/// down is answered through the child table's keyed `select` (the
+/// one its source capability advertises): navigation then shares the
+/// versioned, sealed per-key row cache, the kill-switch gating and
+/// the stale-read path of FLWOR point-selects. Other keys, a NULL
+/// parent key and the optimizer-off path probe the table per call.
 fn register_navigation(
     engine: &Engine,
     db: &Database,
@@ -465,6 +494,7 @@ fn register_navigation(
     child_schema: &TableSchema,
     fk: &crate::rel::ForeignKey,
     parent_ns: &str,
+    select: Option<SourceSelectFn>,
 ) {
     let db = db.clone();
     let parent_schema = parent_schema.clone();
@@ -474,11 +504,26 @@ fn register_navigation(
     let fname = format!("get{}", child_schema.name);
     let opt = engine.optimize_handle();
     let counters = engine.opt_counters();
+    let keyed = match (fk.columns.as_slice(), fk.ref_columns.as_slice(), select) {
+        ([child_col], [parent_col], Some(select)) => {
+            let ty = child_schema.column(child_col).map(|c| c.ty);
+            let pushable = ty.and_then(col_class).is_some()
+                && ty == parent_schema.column(parent_col).map(|c| c.ty);
+            pushable.then(|| (child_col.clone(), parent_col.clone(), select))
+        }
+        _ => None,
+    };
     engine.register_external_function(
         QName::with_ns(parent_ns.to_string(), fname.clone()),
         1,
-        Rc::new(move |_env, args| {
+        Rc::new(move |env, args| {
             let parent = one_element(&args, &fname)?;
+            if let (true, Some((child_col, parent_col, select))) = (opt.get(), &keyed) {
+                let key = xmlmap::xml_field(&parent_schema, &parent, parent_col)?;
+                if !key.is_null() {
+                    return select(env, child_col, &key.lexical());
+                }
+            }
             // FK columns of the child match the referenced (key)
             // values read from the parent element.
             let cond: Condition = fk

@@ -607,7 +607,7 @@ impl Database {
             &self.name,
             Op::Select,
             || self.select_raw(table, cond),
-            || self.cached_select(table, cond),
+            || self.cached_select(table, cond).map(|(_, rows)| rows),
         )
     }
 
@@ -625,15 +625,17 @@ impl Database {
         Ok(hits)
     }
 
-    fn cached_select(&self, table: &str, cond: &Condition) -> Option<Vec<Row>> {
+    /// Rows of the last snapshot matching `cond`, with the snapshot's
+    /// version.
+    fn cached_select(&self, table: &str, cond: &Condition) -> Option<(u64, Vec<Row>)> {
         let idx = {
             let h = self.table_handle(table).ok()?;
             let t = h.read();
             cond_indices(&t.schema, cond).ok()?
         };
         let cache = self.shared.read_cache.lock();
-        let (_, cached) = cache.get(table)?;
-        Some(cached.iter().filter(|r| row_matches(r, &idx)).cloned().collect())
+        let (ver, cached) = cache.get(table)?;
+        Some((*ver, cached.iter().filter(|r| row_matches(r, &idx)).cloned().collect()))
     }
 
     /// Index-accelerated variant of [`Database::select`]: the first
@@ -650,6 +652,18 @@ impl Database {
     /// seed's full-scan behavior so `set_optimize(false)` measurements
     /// stay honest.
     pub fn select_indexed(&self, table: &str, cond: &Condition) -> XdmResult<Vec<Row>> {
+        self.select_indexed_versioned(table, cond).map(|(_, rows)| rows)
+    }
+
+    /// [`Database::select_indexed`] with the table version the rows
+    /// were read at: the live version, or under stale-read degradation
+    /// the snapshot's. A cache of the result must key on this version,
+    /// so that rows served stale never outlive the outage.
+    pub fn select_indexed_versioned(
+        &self,
+        table: &str,
+        cond: &Condition,
+    ) -> XdmResult<(u64, Vec<Row>)> {
         let access = self.access();
         access.run_read(
             &self.name,
@@ -659,7 +673,7 @@ impl Database {
         )
     }
 
-    fn select_indexed_raw(&self, table: &str, cond: &Condition) -> XdmResult<Vec<Row>> {
+    fn select_indexed_raw(&self, table: &str, cond: &Condition) -> XdmResult<(u64, Vec<Row>)> {
         let h = self.table_handle(table)?;
         // Fast path under the shared lock: concurrent indexed readers
         // of the same table must not contend once the index exists.
@@ -671,15 +685,16 @@ impl Database {
                 // No indexable column in the condition: plain filtered
                 // scan (without refreshing the stale-read snapshot —
                 // only full scans snapshot the table).
-                return Ok(t
+                let rows = t
                     .rows
                     .iter()
                     .filter(|(_, r)| row_matches(r, &idx))
                     .map(|(_, r)| r.clone())
-                    .collect());
+                    .collect();
+                return Ok((t.version, rows));
             };
             if let Some(map) = t.indexes.get(&col) {
-                return Ok(probe_sorted_ids(&t.rows, map.get(&fp), &idx));
+                return Ok((t.version, probe_sorted_ids(&t.rows, map.get(&fp), &idx)));
             }
         }
         // Slow path: build the index under the exclusive lock, then
@@ -688,19 +703,21 @@ impl Database {
         let mut t = h.write();
         let idx = cond_indices(&t.schema, cond)?;
         let Some((col, fp)) = index_probe(&t.schema, cond) else {
-            return Ok(t
+            let rows = t
                 .rows
                 .iter()
                 .filter(|(_, r)| row_matches(r, &idx))
                 .map(|(_, r)| r.clone())
-                .collect());
+                .collect();
+            return Ok((t.version, rows));
         };
-        let TableData { schema, rows, indexes, .. } = &mut *t;
+        let TableData { schema, rows, indexes, version, .. } = &mut *t;
         if !indexes.contains_key(&col) {
             let built = build_index(schema, rows, &col);
             indexes.insert(col.clone(), built);
         }
-        Ok(probe_sorted_ids(rows, indexes.get(&col).and_then(|m| m.get(&fp)), &idx))
+        let hits = probe_sorted_ids(rows, indexes.get(&col).and_then(|m| m.get(&fp)), &idx);
+        Ok((*version, hits))
     }
 
     /// Columns of `table` that currently have a built secondary index

@@ -470,3 +470,191 @@ fn describe_renders_design_view() {
     assert!(s.contains("create    createCUSTOMER#1"), "{s}");
     assert!(d.space.describe("nosuch").is_err());
 }
+
+// ------------------------------- navigation through the keyed select
+
+const NAV_NS: &[(&str, &str)] = &[("cus", "ld:db1/CUSTOMER"), ("ord", "ld:db1/ORDER")];
+
+/// Comma-joined OIDs `cus:getORDER` returns for customer `cid`.
+fn navigated_oids(d: &demo::Demo, cid: i64) -> xdm::error::XdmResult<String> {
+    d.space
+        .engine()
+        .eval_expr_str(
+            &format!(
+                "for $c in cus:CUSTOMER()[CID eq '{cid}'] return \
+                 fn:string-join(for $o in cus:getORDER($c) return fn:string($o/OID), ',')"
+            ),
+            NAV_NS,
+        )?
+        .string_value()
+}
+
+/// Comma-joined OIDs of a FLWOR point-select on ORDER's CID.
+fn selected_oids(d: &demo::Demo, cid: i64) -> xdm::error::XdmResult<String> {
+    d.space
+        .engine()
+        .eval_expr_str(
+            &format!(
+                "fn:string-join(for $o in ord:ORDER() where $o/CID eq {cid} \
+                 return fn:string($o/OID), ',')"
+            ),
+            NAV_NS,
+        )?
+        .string_value()
+}
+
+/// Whether two navigation calls from one customer return the same
+/// (cached) row nodes.
+fn navigation_is_cached(d: &demo::Demo) -> bool {
+    d.space
+        .engine()
+        .eval_expr_str(
+            "let $c := cus:CUSTOMER()[CID eq '1'] \
+             return cus:getORDER($c)[1] is cus:getORDER($c)[1]",
+            NAV_NS,
+        )
+        .unwrap()
+        .effective_boolean()
+        .unwrap()
+}
+
+#[test]
+fn navigation_is_served_from_the_keyed_select_cache() {
+    let d = demo3();
+    let engine = d.space.engine();
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    engine.reset_opt_stats();
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    assert_eq!(engine.opt_stats().indexed_selects, 0, "warm navigation probes nothing");
+    assert!(navigation_is_cached(&d));
+    // Navigation and the FLWOR point-select share one cache entry.
+    assert_eq!(selected_oids(&d, 1).unwrap(), "1,2");
+    assert_eq!(engine.opt_stats().indexed_selects, 0);
+
+    // A committed write to ORDER bumps its version: the next
+    // navigation re-probes and sees the new row.
+    d.db1
+        .execute(vec![crate::rel::WriteOp::Insert {
+            table: "ORDER".into(),
+            row: vec![
+                SqlValue::Int(100),
+                SqlValue::Int(1),
+                SqlValue::Null,
+                SqlValue::Null,
+                SqlValue::Str("OPEN".into()),
+            ],
+        }])
+        .unwrap();
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2,100");
+    assert_eq!(engine.opt_stats().indexed_selects, 1);
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2,100");
+    assert_eq!(engine.opt_stats().indexed_selects, 1);
+}
+
+#[test]
+fn navigation_probes_per_call_without_batching() {
+    let d = demo3();
+    let engine = d.space.engine();
+    engine.set_batch(false);
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    engine.reset_opt_stats();
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4");
+    assert_eq!(engine.opt_stats().indexed_selects, 2, "one indexed probe per call");
+    assert!(!navigation_is_cached(&d), "every call builds fresh rows");
+}
+
+#[test]
+fn navigation_scans_per_call_without_the_optimizer() {
+    let d = demo3();
+    let engine = d.space.engine();
+    engine.set_optimize(false);
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    engine.reset_opt_stats();
+    assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
+    assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4");
+    assert_eq!(engine.opt_stats().indexed_selects, 0, "plain selects, no index");
+    assert!(!navigation_is_cached(&d), "every call builds fresh rows");
+}
+
+#[test]
+fn navigation_degrades_like_a_point_select() {
+    use crate::errors::AldspCode;
+    use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, Op};
+    use crate::resilience::{Policy, Resilience};
+    let outage = || {
+        FaultInjector::new(
+            FaultPlan::new().rule(FaultRule::new("db1", Op::Select, FaultKind::Permanent)),
+        )
+    };
+    let policy = Policy { max_retries: 0, breaker_threshold: 100, ..Policy::default() };
+
+    // No snapshot of ORDER yet: both reads fail the same way.
+    let d = demo3();
+    let res = d.space.install_resilience(Resilience::new(policy.clone()));
+    d.space.install_fault_injector(outage());
+    let nav = navigated_oids(&d, 2).unwrap_err();
+    let sel = selected_oids(&d, 2).unwrap_err();
+    assert_eq!(AldspCode::of(&nav), Some(AldspCode::SrcUnavailable));
+    assert_eq!(AldspCode::of(&sel), Some(AldspCode::SrcUnavailable));
+    assert_eq!(res.lock().stats().stale_reads, 0);
+
+    // After a healthy scan both serve the snapshot, each counted as
+    // one stale read, and each fills the cache the other reads.
+    let d = demo3();
+    let res = d.space.install_resilience(Resilience::new(policy));
+    d.space
+        .engine()
+        .eval_expr_str("fn:count(ord:ORDER())", NAV_NS)
+        .unwrap();
+    d.space.install_fault_injector(outage());
+    assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4");
+    assert_eq!(res.lock().stats().stale_reads, 1);
+    assert_eq!(selected_oids(&d, 3).unwrap(), "5,6");
+    assert_eq!(res.lock().stats().stale_reads, 2);
+    assert_eq!(navigated_oids(&d, 3).unwrap(), "5,6");
+    assert_eq!(selected_oids(&d, 2).unwrap(), "3,4");
+    assert_eq!(res.lock().stats().stale_reads, 2, "served from the shared cache");
+}
+
+#[test]
+fn rows_served_stale_are_not_cached_past_recovery() {
+    use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, Op};
+    use crate::resilience::{Policy, Resilience};
+    let d = demo3();
+    let res = d.space.install_resilience(Resilience::new(Policy {
+        max_retries: 0,
+        breaker_threshold: 100,
+        ..Policy::default()
+    }));
+    // Snapshot ORDER, then commit past it: the snapshot is stale.
+    d.space
+        .engine()
+        .eval_expr_str("fn:count(ord:ORDER())", NAV_NS)
+        .unwrap();
+    for (oid, cid) in [(100, 2), (101, 3)] {
+        d.db1
+            .execute(vec![crate::rel::WriteOp::Insert {
+                table: "ORDER".into(),
+                row: vec![
+                    SqlValue::Int(oid),
+                    SqlValue::Int(cid),
+                    SqlValue::Null,
+                    SqlValue::Null,
+                    SqlValue::Str("OPEN".into()),
+                ],
+            }])
+            .unwrap();
+    }
+    // During the outage both reads serve the snapshot.
+    d.space.install_fault_injector(FaultInjector::new(
+        FaultPlan::new().rule(FaultRule::new("db1", Op::Select, FaultKind::Permanent)),
+    ));
+    assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4");
+    assert_eq!(selected_oids(&d, 3).unwrap(), "5,6");
+    assert_eq!(res.lock().stats().stale_reads, 2);
+    // Once the source is back, neither is answered from those rows.
+    d.space.install_fault_injector(FaultInjector::new(FaultPlan::new()));
+    assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4,100");
+    assert_eq!(selected_oids(&d, 3).unwrap(), "5,6,101");
+}

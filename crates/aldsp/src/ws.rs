@@ -349,9 +349,7 @@ fn credit_rating_handler(ns2: String) -> WsHandler {
                 // would hand every malformed caller the same bogus
                 // rating. `aldsp:SRC_BAD_REQUEST` is never retried.
                 let child = |local: &str| -> XdmResult<String> {
-                    node.children()
-                        .iter()
-                        .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(local))
+                    crate::xmlmap::field_element(node, local)
                         .map(|c| c.string_value())
                         .filter(|v| !v.is_empty())
                         .ok_or_else(|| {

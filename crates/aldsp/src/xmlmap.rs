@@ -6,6 +6,10 @@
 //! reads such an element back into typed [`SqlValue`]s for the
 //! generated create/update/delete procedures.
 
+// Row materialization runs on every cache miss of every read path:
+// failures must surface as errors, never panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::node::NodeHandle;
 use xdm::qname::QName;
@@ -38,18 +42,26 @@ pub fn row_to_xml(schema: &TableSchema, ns: &str, row: &Row) -> NodeHandle {
 /// per batch instead of once per row (interned `Symbol`s make each
 /// remaining clone a refcount bump).
 fn row_to_xml_named(row_name: &QName, col_names: &[QName], row: &Row) -> NodeHandle {
-    let elem = NodeHandle::root_element(row_name.clone());
-    let arena = elem.arena().clone();
-    for (name, val) in col_names.iter().zip(row) {
-        if val.is_null() {
-            continue;
-        }
-        let c = NodeHandle::new_element(&arena, name.clone());
-        c.append_child(&NodeHandle::new_text(&arena, val.lexical()))
-            .expect("text under element");
-        elem.append_child(&c).expect("element under element");
-    }
-    elem
+    let fields = col_names
+        .iter()
+        .zip(row)
+        .filter(|(_, val)| !val.is_null())
+        .map(|(name, val)| (name.clone(), val.lexical()));
+    NodeHandle::new_record(row_name.clone(), fields)
+}
+
+/// The first child element of `node` whose local name is `local`
+/// (namespaces ignored, as sources see local names).
+pub(crate) fn field_element(node: &NodeHandle, local: &str) -> Option<NodeHandle> {
+    let mut found = None;
+    node.each_child_where(
+        false,
+        |_, name| name.is_some_and(|q| &*q.local == local),
+        |c| {
+            found.get_or_insert(c);
+        },
+    );
+    found
 }
 
 /// Render many rows. Per-column QNames are hoisted out of the row loop.
@@ -80,12 +92,7 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     }
     let mut row = Vec::with_capacity(schema.columns.len());
     for col in &schema.columns {
-        let child = node
-            .children()
-            .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(&col.name))
-            .cloned();
-        match child {
+        match field_element(node, &col.name) {
             Some(c) => row.push(SqlValue::parse(col.ty, &c.string_value())?),
             None => row.push(SqlValue::Null),
         }
@@ -105,18 +112,14 @@ pub fn xml_field(
             format!("no column {column} in {}", schema.name),
         )
     })?;
-    let child = node
-        .children()
-        .iter()
-        .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(column))
-        .cloned();
-    match child {
+    match field_element(node, column) {
         Some(c) => SqlValue::parse(col.ty, &c.string_value()),
         None => Ok(SqlValue::Null),
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::rel::{Column, ColumnType};

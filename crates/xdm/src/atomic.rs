@@ -11,6 +11,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::datetime::{Date, DateTime};
 use crate::decimal::Decimal;
@@ -105,8 +106,9 @@ impl fmt::Display for AtomicType {
 /// An atomic value: the leaf of the XDM item hierarchy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AtomicValue {
-    /// `xs:untypedAtomic` — raw text from schemaless nodes.
-    Untyped(String),
+    /// `xs:untypedAtomic` — raw text from schemaless nodes. Shared:
+    /// atomizing a text-only element hands out its text buffer.
+    Untyped(Rc<str>),
     /// `xs:string`
     String(String),
     /// `xs:boolean`
@@ -147,9 +149,8 @@ impl AtomicValue {
     /// The lexical (string) form of the value, per `fn:string`.
     pub fn string_value(&self) -> String {
         match self {
-            AtomicValue::Untyped(s)
-            | AtomicValue::String(s)
-            | AtomicValue::AnyUri(s) => s.clone(),
+            AtomicValue::Untyped(s) => s.to_string(),
+            AtomicValue::String(s) | AtomicValue::AnyUri(s) => s.clone(),
             AtomicValue::Boolean(b) => b.to_string(),
             AtomicValue::Integer(i) => i.to_string(),
             AtomicValue::Decimal(d) => d.to_string(),
@@ -158,6 +159,24 @@ impl AtomicValue {
             AtomicValue::Date(d) => d.to_string(),
             AtomicValue::DateTime(d) => d.to_string(),
         }
+    }
+
+    /// Append the lexical form to `out` (what [`AtomicValue::string_value`]
+    /// returns, without building it first).
+    pub fn push_lexical(&self, out: &mut String) {
+        use fmt::Write;
+        // Writing into a String cannot fail.
+        let _ = match self {
+            AtomicValue::Untyped(s) => out.write_str(s),
+            AtomicValue::String(s) | AtomicValue::AnyUri(s) => out.write_str(s),
+            AtomicValue::Boolean(b) => write!(out, "{b}"),
+            AtomicValue::Integer(i) => write!(out, "{i}"),
+            AtomicValue::Decimal(d) => write!(out, "{d}"),
+            AtomicValue::Double(d) => out.write_str(&format_double(*d)),
+            AtomicValue::QName(q) => out.write_str(&q.lexical()),
+            AtomicValue::Date(d) => write!(out, "{d}"),
+            AtomicValue::DateTime(d) => write!(out, "{d}"),
+        };
     }
 
     /// Cast to the target type per XQuery 1.0 §17 (subset).
@@ -170,7 +189,7 @@ impl AtomicValue {
         let from_lexical = |s: &str| -> XdmResult<AtomicValue> {
             let s = s.trim();
             Ok(match target {
-                T::UntypedAtomic => V::Untyped(s.to_string()),
+                T::UntypedAtomic => V::Untyped(s.into()),
                 T::String => V::String(s.to_string()),
                 T::AnyUri => V::AnyUri(s.to_string()),
                 T::Boolean => match s {
@@ -197,10 +216,11 @@ impl AtomicValue {
             })
         };
         match self {
-            V::Untyped(s) | V::String(s) | V::AnyUri(s) => from_lexical(s),
+            V::Untyped(s) => from_lexical(s),
+            V::String(s) | V::AnyUri(s) => from_lexical(s),
             V::Boolean(b) => Ok(match target {
                 T::String => V::String(b.to_string()),
-                T::UntypedAtomic => V::Untyped(b.to_string()),
+                T::UntypedAtomic => V::Untyped(b.to_string().into()),
                 T::Integer => V::Integer(*b as i64),
                 T::Decimal => V::Decimal(Decimal::from_i64(*b as i64)),
                 T::Double => V::Double(*b as i64 as f64),
@@ -208,7 +228,7 @@ impl AtomicValue {
             }),
             V::Integer(i) => Ok(match target {
                 T::String => V::String(i.to_string()),
-                T::UntypedAtomic => V::Untyped(i.to_string()),
+                T::UntypedAtomic => V::Untyped(i.to_string().into()),
                 T::Boolean => V::Boolean(*i != 0),
                 T::Decimal => V::Decimal(Decimal::from_i64(*i)),
                 T::Double => V::Double(*i as f64),
@@ -216,7 +236,7 @@ impl AtomicValue {
             }),
             V::Decimal(d) => Ok(match target {
                 T::String => V::String(d.to_string()),
-                T::UntypedAtomic => V::Untyped(d.to_string()),
+                T::UntypedAtomic => V::Untyped(d.to_string().into()),
                 T::Boolean => V::Boolean(!d.is_zero()),
                 T::Integer => V::Integer(d.trunc_i64()?),
                 T::Double => V::Double(d.to_f64()),
@@ -224,7 +244,7 @@ impl AtomicValue {
             }),
             V::Double(d) => Ok(match target {
                 T::String => V::String(format_double(*d)),
-                T::UntypedAtomic => V::Untyped(format_double(*d)),
+                T::UntypedAtomic => V::Untyped(format_double(*d).into()),
                 T::Boolean => V::Boolean(*d != 0.0 && !d.is_nan()),
                 T::Integer => {
                     if d.is_nan() || d.is_infinite() {
@@ -248,18 +268,18 @@ impl AtomicValue {
             }),
             V::QName(q) => Ok(match target {
                 T::String => V::String(q.lexical()),
-                T::UntypedAtomic => V::Untyped(q.lexical()),
+                T::UntypedAtomic => V::Untyped(q.lexical().into()),
                 _ => return Err(self.cast_err(target)),
             }),
             V::Date(d) => Ok(match target {
                 T::String => V::String(d.to_string()),
-                T::UntypedAtomic => V::Untyped(d.to_string()),
+                T::UntypedAtomic => V::Untyped(d.to_string().into()),
                 T::DateTime => V::DateTime(DateTime::new(d.year, d.month, d.day, 0, 0, 0)?),
                 _ => return Err(self.cast_err(target)),
             }),
             V::DateTime(dt) => Ok(match target {
                 T::String => V::String(dt.to_string()),
-                T::UntypedAtomic => V::Untyped(dt.to_string()),
+                T::UntypedAtomic => V::Untyped(dt.to_string().into()),
                 T::Date => V::Date(dt.date),
                 _ => return Err(self.cast_err(target)),
             }),
@@ -331,22 +351,20 @@ impl AtomicValue {
     /// Coerce an untypedAtomic like the other operand's type (string
     /// for strings, double for numerics, target type otherwise).
     fn coerce_untyped_like(&self, other: &AtomicValue) -> XdmResult<AtomicValue> {
-        let s = self.string_value();
         let target = match other.type_of() {
             t if t.is_numeric() => AtomicType::Double,
             AtomicType::UntypedAtomic => AtomicType::String,
             t => t,
         };
-        AtomicValue::Untyped(s).cast_to(target)
+        self.cast_to(target)
     }
 
     /// Effective boolean value of a single atomic item.
     pub fn effective_boolean(&self) -> XdmResult<bool> {
         Ok(match self {
             AtomicValue::Boolean(b) => *b,
-            AtomicValue::String(s)
-            | AtomicValue::Untyped(s)
-            | AtomicValue::AnyUri(s) => !s.is_empty(),
+            AtomicValue::String(s) | AtomicValue::AnyUri(s) => !s.is_empty(),
+            AtomicValue::Untyped(s) => !s.is_empty(),
             AtomicValue::Integer(i) => *i != 0,
             AtomicValue::Decimal(d) => !d.is_zero(),
             AtomicValue::Double(d) => *d != 0.0 && !d.is_nan(),

@@ -216,6 +216,14 @@ impl NodeArena {
         Rc::new(RefCell::new(NodeArena::default()))
     }
 
+    /// A fresh arena with room for `nodes` node records, so a
+    /// constructor whose size is known up front never regrows it.
+    pub fn with_capacity(nodes: usize) -> SharedArena {
+        let mut arena = NodeArena::default();
+        arena.nodes.reserve_exact(nodes);
+        Rc::new(RefCell::new(arena))
+    }
+
     /// The arena's globally unique creation stamp.
     pub fn stamp(&self) -> u64 {
         self.stamp
@@ -255,6 +263,17 @@ impl NodeArena {
 
     fn data_mut(&mut self, id: NodeId) -> &mut NodeData {
         &mut self.nodes[id.0 as usize]
+    }
+
+    /// Attach `child` as the last local child of `parent`; a leaf
+    /// `parent` takes no children and is left unchanged.
+    fn push_local(&mut self, parent: NodeId, child: NodeId) {
+        if let NodeBody::Document { children } | NodeBody::Element { children, .. } =
+            &mut self.data_mut(parent).body
+        {
+            children.push(ChildEntry::Local(child));
+            self.data_mut(child).parent = Some(parent);
+        }
     }
 }
 
@@ -429,16 +448,58 @@ impl NodeHandle {
 
     /// Create a detached element node in the given arena.
     pub fn new_element(arena: &SharedArena, name: QName) -> NodeHandle {
+        Self::new_element_with_capacity(arena, name, 0)
+    }
+
+    /// Create a detached element with room for `children` child
+    /// entries.
+    pub fn new_element_with_capacity(
+        arena: &SharedArena,
+        name: QName,
+        children: usize,
+    ) -> NodeHandle {
         let id = arena.borrow_mut().alloc(
             None,
             NodeBody::Element {
                 name,
                 attrs: Vec::new(),
-                children: Vec::new(),
+                children: Vec::with_capacity(children),
                 ns_decls: Vec::new(),
             },
         );
         NodeHandle { arena: arena.clone(), id, link: None }
+    }
+
+    /// Build a flat record `<name><f1>v1</f1>…</name>` in a fresh
+    /// arena sized for it: the XML view of a table row. An empty value
+    /// gives an empty field element (XDM has no empty text nodes).
+    pub fn new_record<V: Into<Rc<str>>>(
+        name: QName,
+        fields: impl Iterator<Item = (QName, V)>,
+    ) -> NodeHandle {
+        let n = fields.size_hint().1.unwrap_or(0);
+        let arena = NodeArena::with_capacity(1 + 2 * n);
+        let element = |name, children| NodeBody::Element {
+            name,
+            attrs: Vec::new(),
+            children: Vec::with_capacity(children),
+            ns_decls: Vec::new(),
+        };
+        let id = {
+            let mut a = arena.borrow_mut();
+            let root = a.alloc(None, element(name, n));
+            for (field, value) in fields {
+                let content: Rc<str> = value.into();
+                let f = a.alloc(None, element(field, usize::from(!content.is_empty())));
+                a.push_local(root, f);
+                if !content.is_empty() {
+                    let t = a.alloc(None, NodeBody::Text { content });
+                    a.push_local(f, t);
+                }
+            }
+            root
+        };
+        NodeHandle { arena, id, link: None }
     }
 
     /// Create a detached element in a fresh arena.
@@ -613,19 +674,33 @@ impl NodeHandle {
     pub fn children_where(
         &self,
         attributes: bool,
-        mut keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
+        keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
     ) -> Vec<NodeHandle> {
+        let mut out = Vec::new();
+        self.each_child_where(attributes, keep, |n| out.push(n));
+        out
+    }
+
+    /// [`NodeHandle::children_where`] handing each match to `found`
+    /// instead of collecting them, so a caller can push straight into
+    /// its own buffer. `found` runs under a shared borrow of this
+    /// node's arena and must not mutate it.
+    pub fn each_child_where(
+        &self,
+        attributes: bool,
+        mut keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
+        mut found: impl FnMut(NodeHandle),
+    ) {
         if let Some(h) = self.resolve_if_moved() {
-            return h.children_where(attributes, keep);
+            return h.each_child_where(attributes, keep, found);
         }
         let arena = self.arena.borrow();
-        let mut out = Vec::new();
         match &arena.data(self.id).body {
             NodeBody::Element { attrs, .. } if attributes => {
                 for &id in attrs {
                     if arena.data(id).body.test(&mut keep) {
                         let link = self.link.clone();
-                        out.push(NodeHandle { arena: self.arena.clone(), id, link });
+                        found(NodeHandle { arena: self.arena.clone(), id, link });
                     }
                 }
             }
@@ -638,13 +713,25 @@ impl NodeHandle {
                         }
                     };
                     if hit {
-                        out.push(self.entry_handle(e));
+                        found(self.entry_handle(e));
                     }
                 }
             }
             _ => {}
         }
-        out
+    }
+
+    /// Whether a document or element node has any child.
+    pub fn has_children(&self) -> bool {
+        if let Some(h) = self.resolve_if_moved() {
+            return h.has_children();
+        }
+        self.with(|d| match &d.body {
+            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
+                !children.is_empty()
+            }
+            _ => false,
+        })
     }
 
     /// Attribute nodes in order (element nodes).
@@ -719,23 +806,29 @@ impl NodeHandle {
     /// of descendant text; for attributes/text/comments/PIs the content.
     pub fn string_value(&self) -> String {
         match self.kind() {
-            NodeKind::Document | NodeKind::Element => {
-                // Fast path: the dominant `<e>text</e>` shape shares
-                // the text's Rc<str> straight out, skipping the
-                // recursive collector.
-                if let Some(t) = self.single_text_content() {
-                    return t.as_ref().to_string();
-                }
-                let mut out = String::new();
-                self.collect_text(&mut out);
-                out
-            }
+            NodeKind::Document | NodeKind::Element => match self.single_text_content() {
+                Some(t) => t.to_string(),
+                None => self.collected_text(),
+            },
             _ => self.content().unwrap_or_default(),
         }
     }
 
+    /// [`NodeHandle::string_value`] as a shared buffer: a text-only
+    /// element, an attribute and a text-ish node hand out their own
+    /// content without copying it.
+    pub fn string_value_shared(&self) -> Rc<str> {
+        match self.kind() {
+            NodeKind::Document | NodeKind::Element => self
+                .single_text_content()
+                .unwrap_or_else(|| self.collected_text().into()),
+            _ => self.content_shared().unwrap_or_else(|| Rc::from("")),
+        }
+    }
+
     /// The single text child's shared content, if this element's
-    /// entire content is exactly one local text node.
+    /// entire content is exactly one local text node: the dominant
+    /// `<e>text</e>` shape, which skips the recursive collector.
     fn single_text_content(&self) -> Option<Rc<str>> {
         if let Some(h) = self.resolve_if_moved() {
             return h.single_text_content();
@@ -757,6 +850,13 @@ impl NodeHandle {
         }
     }
 
+    /// The concatenated descendant text of a document or element.
+    fn collected_text(&self) -> String {
+        let mut out = String::new();
+        self.collect_text(&mut out);
+        out
+    }
+
     fn collect_text(&self, out: &mut String) {
         for c in self.children() {
             match c.kind() {
@@ -774,7 +874,7 @@ impl NodeHandle {
     /// The typed value. Without schema validation every node is
     /// untyped, so this is `xs:untypedAtomic(string-value)`.
     pub fn typed_value(&self) -> AtomicValue {
-        AtomicValue::Untyped(self.string_value())
+        AtomicValue::Untyped(self.string_value_shared())
     }
 
     /// The root of the tree containing this node (following graft
@@ -1206,14 +1306,7 @@ impl NodeHandle {
     fn push_child_raw(&self, child: &NodeHandle) {
         debug_assert!(self.same_arena(child));
         debug_assert!(self.link.is_none() && child.link.is_none());
-        let mut arena = self.arena.borrow_mut();
-        arena.data_mut(child.id).parent = Some(self.id);
-        match &mut arena.data_mut(self.id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.push(ChildEntry::Local(child.id))
-            }
-            _ => panic!("push_child on leaf node"),
-        }
+        self.arena.borrow_mut().push_local(self.id, child.id);
     }
 
     fn push_attribute_raw(&self, attr: &NodeHandle) {
@@ -1246,20 +1339,34 @@ impl NodeHandle {
             ));
         }
         let child = me.import(child);
-        // Merge adjacent text.
-        if child.kind() == NodeKind::Text {
-            if let Some(last) = me.children().last() {
-                if last.kind() == NodeKind::Text {
-                    let merged = format!(
-                        "{}{}",
-                        last.content().unwrap_or_default(),
-                        child.content().unwrap_or_default()
-                    );
-                    last.set_content(merged);
-                    return Ok(last.clone());
+        let text = match &child.arena.borrow().data(child.id).body {
+            NodeBody::Text { content } => Some(content.clone()),
+            _ => None,
+        };
+        if let Some(text) = text {
+            // Merge into a text last child, found under one borrow.
+            // Only elements are ever grafted, so a grafted last entry
+            // is never text.
+            let mut arena = me.arena.borrow_mut();
+            let last = match &arena.data(me.id).body {
+                NodeBody::Document { children } | NodeBody::Element { children, .. } => {
+                    match children.last() {
+                        Some(ChildEntry::Local(id)) => Some(*id),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            if let Some(last) = last {
+                if let NodeBody::Text { content } = &mut arena.data_mut(last).body {
+                    let mut merged = String::with_capacity(content.len() + text.len());
+                    merged.push_str(content);
+                    merged.push_str(&text);
+                    *content = merged.into();
+                    return Ok(NodeHandle::new(me.arena.clone(), last));
                 }
             }
-            if child.content().as_deref() == Some("") {
+            if text.is_empty() {
                 return Ok(child);
             }
         }

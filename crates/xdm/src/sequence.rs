@@ -557,8 +557,16 @@ impl From<Vec<Item>> for Sequence {
 }
 
 impl FromIterator<Item> for Sequence {
+    /// Zero or one item is stored inline, without building a vector.
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Sequence {
-        Sequence::from_items(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return Sequence::empty() };
+        let Some(second) = iter.next() else { return Sequence::one(first) };
+        let mut items = Vec::with_capacity(iter.size_hint().0 + 2);
+        items.push(first);
+        items.push(second);
+        items.extend(iter);
+        Sequence::from_items(items)
     }
 }
 

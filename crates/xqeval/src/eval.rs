@@ -67,7 +67,7 @@ impl JoinIdx {
                 }
             }
             AtomicValue::Untyped(s) => {
-                self.by_str.entry(s.clone()).or_default().push(i);
+                self.by_str.entry(s.to_string()).or_default().push(i);
                 if let Ok(d) = s.trim().parse::<f64>() {
                     if !d.is_nan() {
                         self.by_num
@@ -97,7 +97,7 @@ impl JoinIdx {
             },
             AtomicValue::Untyped(s) => {
                 let mut out: Vec<usize> =
-                    self.by_str.get(s.as_str()).cloned().unwrap_or_default();
+                    self.by_str.get(&**s).cloned().unwrap_or_default();
                 if let Ok(d) = s.trim().parse::<f64>() {
                     if let Some(v) = self.by_num.get(&Self::num_key(d)) {
                         // Untyped vs *typed numeric* compares
@@ -427,7 +427,7 @@ impl<'e> Evaluator<'e> {
                 // nodes it shares were charged when first built).
                 self.engine.budget_charge_memory(1)?;
                 let before = xdm::xdm_stats();
-                let arena = NodeArena::new();
+                let arena = NodeArena::with_capacity(direct_size(de));
                 let node = self.build_direct_element(de, &arena, env)?;
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(node)))
@@ -450,7 +450,7 @@ impl<'e> Evaluator<'e> {
                 let q = self.eval_name_expr(name, env, "attribute")?;
                 let value = match content {
                     Some(c) => space_joined(&self.eval(c, env)?),
-                    None => String::new(),
+                    None => Rc::from(""),
                 };
                 let arena = NodeArena::new();
                 Ok(Sequence::one(Item::Node(NodeHandle::new_attribute(
@@ -481,7 +481,7 @@ impl<'e> Evaluator<'e> {
                 let q = self.eval_name_expr(name, env, "processing-instruction")?;
                 let value = match content {
                     Some(c) => space_joined(&self.eval(c, env)?),
-                    None => String::new(),
+                    None => Rc::from(""),
                 };
                 let arena = NodeArena::new();
                 Ok(Sequence::one(Item::Node(NodeHandle::new_pi(
@@ -564,7 +564,7 @@ impl<'e> Evaluator<'e> {
                     ));
                 };
                 let u = if *value_of {
-                    Update::ReplaceValue { target: node, value: space_joined(&w) }
+                    Update::ReplaceValue { target: node, value: space_joined(&w).to_string() }
                 } else {
                     let (content, attrs) = content_nodes(&w, node.arena())?;
                     if !attrs.is_empty() {
@@ -1001,6 +1001,16 @@ impl<'e> Evaluator<'e> {
             }
             PathStart::Expr(e) => self.eval(e, env)?,
         };
+        self.eval_steps(input, steps, env)
+    }
+
+    /// The step loop of a path expression, run over `input`.
+    fn eval_steps(
+        &self,
+        input: Sequence,
+        steps: &[Step],
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
         if steps.is_empty() {
             return input.document_order_dedup();
         }
@@ -1008,6 +1018,7 @@ impl<'e> Evaluator<'e> {
         for step in steps {
             let test =
                 |kind, name: Option<&QName>| node_test_matches(&step.test, kind, name, step.axis);
+            let attributes = step.axis == Axis::Attribute;
             let mut out = Sequence::empty();
             for item in current.iter() {
                 let Item::Node(node) = item else {
@@ -1017,9 +1028,11 @@ impl<'e> Evaluator<'e> {
                     ));
                 };
                 let mut matched: Vec<NodeHandle> = match step.axis {
-                    Axis::Child | Axis::Attribute => {
-                        node.children_where(step.axis == Axis::Attribute, test)
+                    Axis::Child | Axis::Attribute if step.predicates.is_empty() => {
+                        node.each_child_where(attributes, test, |n| out.push(Item::Node(n)));
+                        continue;
                     }
+                    Axis::Child | Axis::Attribute => node.children_where(attributes, test),
                     axis => axis_nodes(node, axis)
                         .into_iter()
                         .filter(|n| test(n.kind(), n.name().as_ref()))
@@ -1042,17 +1055,14 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Evaluate a pre-parsed step list from a single origin item (used
-    /// by the join-index builder).
+    /// by the join-index builder and point-select re-checks).
     fn eval_steps_from(
         &self,
         origin: Item,
         steps: &[Step],
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        let start = PathStart::Expr(Box::new(Expr::ContextItem));
-        env.with_focus(Focus { item: origin, position: 1, size: 1 }, |env| {
-            self.eval_path(&start, steps, env)
-        })
+        self.eval_steps(Sequence::one(origin), steps, env)
     }
 
     fn filter_nodes(
@@ -1469,7 +1479,8 @@ impl<'e> Evaluator<'e> {
         arena: &SharedArena,
         env: &mut Env,
     ) -> XdmResult<NodeHandle> {
-        let elem = NodeHandle::new_element(arena, de.name.clone());
+        let elem =
+            NodeHandle::new_element_with_capacity(arena, de.name.clone(), de.content.len());
         for (p, u) in &de.ns_decls {
             elem.add_ns_decl(p.clone(), u.clone());
         }
@@ -1489,16 +1500,16 @@ impl<'e> Evaluator<'e> {
         for c in &de.content {
             match c {
                 DirectContent::Text(t) => {
-                    elem.append_child(&NodeHandle::new_text(arena, t.clone()))?;
+                    elem.append_child(&NodeHandle::new_text(arena, t.as_str()))?;
                 }
                 DirectContent::Comment(t) => {
-                    elem.append_child(&NodeHandle::new_comment(arena, t.clone()))?;
+                    elem.append_child(&NodeHandle::new_comment(arena, t.as_str()))?;
                 }
                 DirectContent::Pi(target, data) => {
                     elem.append_child(&NodeHandle::new_pi(
                         arena,
                         target.clone(),
-                        data.clone(),
+                        data.as_str(),
                     ))?;
                 }
                 DirectContent::Element(child) => {
@@ -1595,7 +1606,8 @@ fn pushdown_key(class: crate::engine::ColClass, a: &AtomicValue) -> Option<Strin
             Some(format!("{}", d as i64))
         }
         ColClass::String => match a {
-            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some(s.clone()),
+            AtomicValue::String(s) => Some(s.clone()),
+            AtomicValue::Untyped(s) => Some(s.to_string()),
             _ => None,
         },
         ColClass::Boolean => match a {
@@ -2018,14 +2030,106 @@ fn require_pul(env: &mut Env) -> XdmResult<&mut Pul> {
     })
 }
 
+/// Node records a direct constructor builds by itself, counting one
+/// per enclosed expression (its usual text or element result): the
+/// size its arena is given up front.
+fn direct_size(de: &DirectElement) -> usize {
+    let content: usize = de
+        .content
+        .iter()
+        .map(|c| match c {
+            DirectContent::Element(e) => direct_size(e),
+            _ => 1,
+        })
+        .sum();
+    1 + de.attributes.len() + content
+}
+
 /// Space-joined string of an atomized sequence (attribute/text
 /// content rules).
-fn space_joined(seq: &Sequence) -> String {
-    seq.atomized()
-        .iter()
-        .map(|a| a.string_value())
-        .collect::<Vec<_>>()
-        .join(" ")
+fn space_joined(seq: &Sequence) -> Rc<str> {
+    let mut run = TextRun::default();
+    for item in seq.iter() {
+        match item {
+            Item::Atomic(a) => run.push_atomic(a),
+            Item::Node(n) => run.push_atomic(&n.typed_value()),
+        }
+    }
+    run.take().unwrap_or_else(|| Rc::from(""))
+}
+
+/// One run of adjacent text in constructor content, built once:
+/// atomics are joined by single spaces, text nodes are concatenated
+/// as they are, and a run of one untyped value or text node keeps its
+/// shared buffer.
+#[derive(Default)]
+enum TextRun {
+    #[default]
+    Idle,
+    Shared { text: Rc<str>, atomic: bool },
+    Joined { text: String, atomic: bool },
+}
+
+impl TextRun {
+    fn is_started(&self) -> bool {
+        !matches!(self, TextRun::Idle)
+    }
+
+    /// Add an atomic value, a space apart from a preceding atomic.
+    fn push_atomic(&mut self, a: &AtomicValue) {
+        *self = match (std::mem::take(self), a) {
+            (TextRun::Idle, AtomicValue::Untyped(s)) => {
+                TextRun::Shared { text: s.clone(), atomic: true }
+            }
+            (run, a) => {
+                let (mut text, space) = run.into_buffer();
+                if space {
+                    text.push(' ');
+                }
+                a.push_lexical(&mut text);
+                TextRun::Joined { text, atomic: true }
+            }
+        };
+    }
+
+    /// Add a text node's content: adjacent text merges without a
+    /// separator.
+    fn push_text(&mut self, t: &Rc<str>) {
+        *self = match std::mem::take(self) {
+            TextRun::Idle => TextRun::Shared { text: t.clone(), atomic: false },
+            run => {
+                let (mut text, _) = run.into_buffer();
+                text.push_str(t);
+                TextRun::Joined { text, atomic: false }
+            }
+        };
+    }
+
+    /// The run as an owned buffer, and whether it ends in an atomic.
+    fn into_buffer(self) -> (String, bool) {
+        match self {
+            TextRun::Idle => (String::new(), false),
+            TextRun::Shared { text, atomic } => (String::from(&*text), atomic),
+            TextRun::Joined { text, atomic } => (text, atomic),
+        }
+    }
+
+    /// End the run, returning its text if it was started.
+    fn take(&mut self) -> Option<Rc<str>> {
+        match std::mem::take(self) {
+            TextRun::Idle => None,
+            TextRun::Shared { text, .. } => Some(text),
+            TextRun::Joined { text, .. } => Some(text.into()),
+        }
+    }
+
+    /// End the run into `parent` as one text node.
+    fn flush(&mut self, parent: &NodeHandle) -> XdmResult<()> {
+        if let Some(t) = self.take() {
+            parent.append_child(&NodeHandle::new_text(parent.arena(), t))?;
+        }
+        Ok(())
+    }
 }
 
 /// Element-content assembly: adjacent atomics become one text node
@@ -2041,61 +2145,55 @@ fn space_joined(seq: &Sequence) -> String {
 /// tree) are identical to the deep-copy path.
 fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResult<()> {
     let arena = parent.arena().clone();
-    let mut pending_text: Option<String> = None;
-    let mut seen_non_attr = !parent.children().is_empty();
+    // Adjacent atomics and text nodes gather into one run that becomes
+    // a single text node when other content (or the end) is reached.
+    let mut run = TextRun::default();
+    let mut seen_non_attr = parent.has_children();
+    let adopt = |n: &NodeHandle, run: &mut TextRun| -> XdmResult<()> {
+        run.flush(parent)?;
+        if graft && n.graftable_into(&arena) {
+            parent.graft_child(n)?;
+        } else {
+            parent.append_child(&copy_for_content(n, &arena))?;
+        }
+        Ok(())
+    };
     for item in seq.iter() {
-        match item {
+        let n = match item {
             Item::Atomic(a) => {
-                let s = a.string_value();
-                pending_text = Some(match pending_text.take() {
-                    Some(prev) => format!("{prev} {s}"),
-                    None => s,
-                });
+                run.push_atomic(a);
+                continue;
             }
-            Item::Node(n) => {
-                if let Some(t) = pending_text.take() {
-                    parent.append_child(&NodeHandle::new_text(&arena, t))?;
-                    seen_non_attr = true;
+            Item::Node(n) => n,
+        };
+        match n.kind() {
+            NodeKind::Text => run.push_text(&n.string_value_shared()),
+            NodeKind::Attribute => {
+                if seen_non_attr || run.is_started() {
+                    return Err(XdmError::new(
+                        ErrorCode::XPTY0004,
+                        "attribute node after non-attribute content",
+                    ));
                 }
-                match n.kind() {
-                    NodeKind::Attribute => {
-                        if seen_non_attr {
-                            return Err(XdmError::new(
-                                ErrorCode::XPTY0004,
-                                "attribute node after non-attribute content",
-                            ));
-                        }
-                        let a = copy_for_content(n, &arena);
-                        parent.set_attribute(&a)?;
-                    }
-                    NodeKind::Document => {
-                        for c in n.children() {
-                            if graft && c.graftable_into(&arena) {
-                                parent.graft_child(&c)?;
-                            } else {
-                                let cc = copy_for_content(&c, &arena);
-                                parent.append_child(&cc)?;
-                            }
-                        }
-                        seen_non_attr = true;
-                    }
-                    _ => {
-                        if graft && n.graftable_into(&arena) {
-                            parent.graft_child(n)?;
-                        } else {
-                            let c = copy_for_content(n, &arena);
-                            parent.append_child(&c)?;
-                        }
-                        seen_non_attr = true;
+                parent.set_attribute(&copy_for_content(n, &arena))?;
+            }
+            NodeKind::Document => {
+                for c in n.children() {
+                    if c.kind() == NodeKind::Text {
+                        run.push_text(&c.string_value_shared());
+                    } else {
+                        adopt(&c, &mut run)?;
                     }
                 }
+                seen_non_attr = true;
+            }
+            _ => {
+                adopt(n, &mut run)?;
+                seen_non_attr = true;
             }
         }
     }
-    if let Some(t) = pending_text {
-        parent.append_child(&NodeHandle::new_text(&arena, t))?;
-    }
-    Ok(())
+    run.flush(parent)
 }
 
 /// Constructor content is copied — except freshly constructed,
@@ -2117,18 +2215,12 @@ fn content_nodes(
 ) -> XdmResult<(Vec<NodeHandle>, Vec<NodeHandle>)> {
     let mut content = Vec::new();
     let mut attrs = Vec::new();
-    let mut pending_text: Option<String> = None;
+    let mut run = TextRun::default();
     for item in seq.iter() {
         match item {
-            Item::Atomic(a) => {
-                let s = a.string_value();
-                pending_text = Some(match pending_text.take() {
-                    Some(prev) => format!("{prev} {s}"),
-                    None => s,
-                });
-            }
+            Item::Atomic(a) => run.push_atomic(a),
             Item::Node(n) => {
-                if let Some(t) = pending_text.take() {
+                if let Some(t) = run.take() {
                     content.push(NodeHandle::new_text(arena, t));
                 }
                 match n.kind() {
@@ -2143,7 +2235,7 @@ fn content_nodes(
             }
         }
     }
-    if let Some(t) = pending_text {
+    if let Some(t) = run.take() {
         content.push(NodeHandle::new_text(arena, t));
     }
     Ok((content, attrs))

@@ -117,11 +117,7 @@ fn dispatch_fn(
     let arity = args.len();
     let result: XdmResult<Sequence> = match (local, arity) {
         // ---------------------------------------------------- accessors
-        ("data", 1) => Ok(args[0]
-            .atomized()
-            .into_iter()
-            .map(Item::Atomic)
-            .collect()),
+        ("data", 1) => Ok(args[0].iter().map(|it| Item::Atomic(it.atomize())).collect()),
         ("string", 0) => (|| {
             let it = context_item(env, "fn:string")?;
             Ok(str_seq(it.string_value()))

@@ -36,7 +36,7 @@ pub use cache::Lru;
 pub use context::Env;
 pub use engine::{
     BatchFn, ColClass, Engine, ExternalFn, OptCounters, OptStats, PreparedQuery,
-    ProcRunner, SourceCapability,
+    ProcRunner, SourceCapability, SourceSelectFn,
 };
 pub use eval::Evaluator;
 pub use update::{Pul, Update};

@@ -90,8 +90,9 @@ XQSE_DISABLE_BUDGETS=1 cargo test -q $NET --test chaos budget_kill_switch
 
 # Lints. Clippy may be absent in minimal toolchains; warn, don't fail.
 # Note: the optimizer-layer modules (xqeval/engine.rs, aldsp/rel.rs,
-# aldsp/introspect.rs) carry in-source `#![deny(clippy::unwrap_used)]`,
-# so this pass also rejects panicking unwraps on those read paths.
+# aldsp/introspect.rs) and row materialization (aldsp/xmlmap.rs) carry
+# in-source `#![deny(clippy::unwrap_used)]`, so this pass also rejects
+# panicking unwraps on those read paths.
 if cargo clippy --version >/dev/null 2>&1; then
     run cargo clippy $NET --workspace --all-targets -- -D warnings
 else

@@ -13,6 +13,11 @@
 //! `while` 28, `iterate` 19, FLWOR `let`/`where` 22.5, `fn:sum(for …)`
 //! 15. Each is now at most 1.
 //!
+//! The allocator also sums the bytes requested, which catches
+//! accumulate-by-copy: a buffer re-copied on every append costs a
+//! handful of allocations per item but a number of bytes per item
+//! that grows with n.
+//!
 //! Run with `--nocapture` to see the measured counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,29 +32,31 @@ struct Counting;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+fn note_alloc(size: usize) {
     // `try_with`: the allocator may run while thread-locals are torn
     // down; those allocations are not ours to count.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
             let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+            let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
         }
     });
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -61,33 +68,55 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Heap allocations (including reallocations) `f` makes on this
-/// thread.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+/// thread, and the bytes they request.
+fn measured<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
     COUNT.with(|c| c.set(0));
+    BYTES.with(|b| b.set(0));
     ARMED.with(|a| a.set(true));
     let out = f();
     ARMED.with(|a| a.set(false));
-    (COUNT.with(Cell::get), out)
+    ((COUNT.with(Cell::get), BYTES.with(Cell::get)), out)
+}
+
+/// Heap allocations (including reallocations) `f` makes on this
+/// thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let ((count, _), out) = measured(f);
+    (count, out)
+}
+
+/// Allocations and bytes of one run of `program` with its `N`
+/// replaced by `n`, on a fresh engine so the plan cache does not
+/// favour either size.
+fn run_at(program: &str, n: u32) -> (u64, u64) {
+    let xq = Xqse::new();
+    let src = program.replace('N', &n.to_string());
+    let (counts, out) = measured(|| xq.run(&src));
+    out.unwrap_or_else(|e| panic!("{src}: {e}"));
+    counts
 }
 
 /// Allocations per extra iteration of `program` (its `N` replaced by
-/// the loop bound) between n = 1 000 and n = 2 000, each run on a
-/// fresh engine so the plan cache does not favour either size.
+/// the loop bound) between n = 1 000 and n = 2 000.
 fn per_iteration(program: &str) -> f64 {
-    let run = |n: u32| {
-        let xq = Xqse::new();
-        let src = program.replace('N', &n.to_string());
-        let (count, out) = allocations(|| xq.run(&src));
-        out.unwrap_or_else(|e| panic!("{src}: {e}"));
-        count
-    };
     // A first run pays the process-wide one-time costs (interned
     // names, lazily built tables) that would otherwise bias n = 1 000.
-    run(1000);
-    let (small, large) = (run(1000), run(2000));
+    run_at(program, 1000);
+    let (small, large) = (run_at(program, 1000).0, run_at(program, 2000).0);
     let per = (large as f64 - small as f64) / 1000.0;
     println!("{program}\n  n=1000: {small}  n=2000: {large}  per iteration: {per}");
     per
+}
+
+/// Bytes requested per item at n = 2 000 over bytes per item at
+/// n = 1 000: about 1 (or below, as fixed costs spread) when the
+/// program's memory traffic is linear, about 2 when it is quadratic.
+fn bytes_per_item_growth(program: &str) -> f64 {
+    run_at(program, 1000);
+    let (small, large) = (run_at(program, 1000).1, run_at(program, 2000).1);
+    let growth = (large as f64 / 2000.0) / (small as f64 / 1000.0);
+    println!("{program}\n  bytes n=1000: {small}  n=2000: {large}  per-item growth: {growth:.3}");
+    growth
 }
 
 #[test]
@@ -136,12 +165,82 @@ fn child_step_from_one_node_grows_linearly() {
     assert!(per <= 16.0, "child step: {per} allocations per child");
 }
 
+/// A child step without predicates pushes its match straight into the
+/// result (it built a one-element vector first: 1 per tuple).
+///
+/// The per-tuple cases below test their expression in a `where`
+/// clause, so the FLWOR collects no result whose amortized growth
+/// would blur an exact count.
+#[test]
+fn child_step_does_not_allocate_per_tuple() {
+    let per = per_iteration(
+        "let $r := <ORDER><OID>7</OID><CID>3</CID></ORDER> \
+         return fn:count(for $i in 1 to N where $r/OID return ())",
+    );
+    assert!(per <= 0.0, "$r/OID: {per} allocations per tuple");
+}
+
+/// `fn:data` of one text-only element shares the element's text and
+/// builds no vector; what is left is the call's argument vector (6 per
+/// tuple before).
+#[test]
+fn data_of_a_field_allocates_once_per_tuple() {
+    let per = per_iteration(
+        "let $r := <ORDER><OID>7</OID><CID>3</CID></ORDER> \
+         return fn:count(for $i in 1 to N where fn:data($r/OID) return ())",
+    );
+    assert!(per <= 1.0, "fn:data($r/OID): {per} allocations per tuple");
+}
+
+/// Tagging one field, as Figure 3 does for every column: the arena,
+/// its node records and the child list are sized from the
+/// constructor, and the text node shares the field's buffer (11 per
+/// tuple before).
+#[test]
+fn tagging_a_field_stays_under_four_allocations_per_tuple() {
+    let per = per_iteration(
+        "let $r := <ORDER><OID>7</OID><CID>3</CID></ORDER> \
+         return fn:count(for $i in 1 to N where <OID>{fn:data($r/OID)}</OID> return ())",
+    );
+    assert!(per <= 4.0, "<OID>{{fn:data($r/OID)}}</OID>: {per} allocations per tuple");
+}
+
+/// Adjacent atomics in element content become one text node built in
+/// one buffer (each join used to re-copy the text so far).
+#[test]
+fn atomic_text_join_is_linear_in_bytes() {
+    let growth = bytes_per_item_growth("fn:string-length(fn:string(<a>{1 to N}</a>))");
+    assert!(growth <= 1.25, "<a>{{1 to N}}</a>: bytes per item grew {growth:.3}x");
+}
+
+/// Adjacent text nodes in element content merge into one text node
+/// built in one buffer (each merge used to re-copy the text so far).
+#[test]
+fn text_node_merge_is_linear_in_bytes() {
+    let growth = bytes_per_item_growth(
+        "fn:string-length(fn:string(<a>{for $i in 1 to N return text{\"x\"}}</a>))",
+    );
+    assert!(growth <= 1.25, "merged text nodes: bytes per item grew {growth:.3}x");
+}
+
+/// Text after an element child: appending it looks at the last child
+/// entry only (it cloned the whole child list each time).
+#[test]
+fn text_after_element_append_is_linear_in_bytes() {
+    let growth = bytes_per_item_growth(
+        "fn:count(<a>{for $i in 1 to N return (text{\"x\"}, <b/>)}</a>/b)",
+    );
+    assert!(growth <= 1.25, "mixed text/element: bytes per item grew {growth:.3}x");
+}
+
 /// One warm Figure-3 `getProfileById` over the 200-customer fixture
-/// the serving benchmark uses. Before the changes above the same call
-/// made 179 670 allocations; it now makes about 108 500.
+/// the serving benchmark uses. It made 179 670 allocations before the
+/// scalar-path changes above and 108 456 before navigation shared the
+/// keyed select cache and untyped values shared their text; it now
+/// makes about 35 000.
 #[test]
 fn warm_get_profile_by_id_stays_under_its_ceiling() {
-    const CEILING: u64 = 120_000;
+    const CEILING: u64 = 45_000;
     let d = demo::build(200, 3, 2).unwrap();
     let get = || {
         let g = d
