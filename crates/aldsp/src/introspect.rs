@@ -49,11 +49,6 @@ pub fn introspect_relational(
     db: &Database,
 ) -> XdmResult<Vec<DataService>> {
     let mut out = Vec::new();
-    // The source's write-path fast paths (index-accelerated PK
-    // uniqueness checks) follow the engine's optimize flag; the
-    // mirror is an `Arc<AtomicBool>` because `Database` is `Send`
-    // while the engine flag is an `Rc<Cell<bool>>`.
-    engine.register_opt_mirror(db.opt_flag());
     let table_names = db.table_names();
     // Read method: TABLE() returns all rows as XML. Registered for
     // every table first: navigation functions answer through the
@@ -171,7 +166,7 @@ fn register_read_all(
     schema: &TableSchema,
     ns: &str,
 ) -> SourceSelectFn {
-    let opt = engine.optimize_handle();
+    let features = engine.features_cell();
     let counters = engine.opt_counters();
 
     // Versioned XDM materialization cache: `(table version, tree)`.
@@ -201,7 +196,7 @@ fn register_read_all(
     // rebuilding XDM. Keying on the *live* table version makes reuse
     // exact — any committed write bumps the version and misses — and
     // mirrors the materialization cache's invalidation story one level
-    // down. `Engine::set_batch(false)` restores per-call probes.
+    // down. `batch: false` restores per-call probes.
     let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
         Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
     let select = {
@@ -209,8 +204,8 @@ fn register_read_all(
         let schema = schema.clone();
         let ns = ns.to_string();
         let table = schema.name.clone();
+        let features = features.clone();
         let counters = counters.clone();
-        let batch_on = engine.batch_handle();
         let select_cache = select_cache.clone();
         Rc::new(move |_env: &mut Env, col: &str, key: &str| -> XdmResult<Sequence> {
             let ty = schema
@@ -229,7 +224,7 @@ fn register_read_all(
                 Ok(v) => v,
                 Err(_) => return Ok(Sequence::empty()),
             };
-            if batch_on.get() {
+            if features.get().batch {
                 let live = db.table_version(&table).unwrap_or(0);
                 let ck = format!("{col}\u{1}{key}");
                 if let Some((v0, seq)) = select_cache.borrow_mut().get(&ck) {
@@ -283,8 +278,8 @@ fn register_read_all(
         QName::with_ns(ns.clone(), table.clone()),
         0,
         Rc::new(move |_env, _args| {
-            if !opt.get() {
-                // Kill-switch: seed behavior — full scan + rebuild.
+            if !features.get().opt {
+                // Optimizer off: seed behavior — full scan + rebuild.
                 let rows = db.scan(&table)?;
                 return Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows));
             }
@@ -343,7 +338,7 @@ fn register_read_by_key(
             )
         })?
         .ty;
-    let opt = engine.optimize_handle();
+    let features = engine.features_cell();
     let counters = engine.opt_counters();
     engine.register_external_function(
         QName::with_ns(ns.clone(), format!("getBy{pk}")),
@@ -354,7 +349,7 @@ fn register_read_by_key(
                 return Ok(Sequence::empty());
             }
             let v = SqlValue::parse(pk_ty, &key)?;
-            let rows = if opt.get() {
+            let rows = if features.get().opt {
                 OptCounters::bump(&counters.indexed_selects);
                 db.select_indexed(&table, &vec![(pk.clone(), v)])?
             } else {
@@ -484,7 +479,7 @@ fn pk_condition(schema: &TableSchema, row: &[SqlValue]) -> XdmResult<Condition> 
 /// A single-column key whose column types agree and can be pushed
 /// down is answered through the child table's keyed `select` (the
 /// one its source capability advertises): navigation then shares the
-/// versioned, sealed per-key row cache, the kill-switch gating and
+/// versioned, sealed per-key row cache, the feature gating and
 /// the stale-read path of FLWOR point-selects. Other keys, a NULL
 /// parent key and the optimizer-off path probe the table per call.
 fn register_navigation(
@@ -502,7 +497,7 @@ fn register_navigation(
     let fk = fk.clone();
     let child_ns = service_namespace(&db.name, &child_schema.name);
     let fname = format!("get{}", child_schema.name);
-    let opt = engine.optimize_handle();
+    let features = engine.features_cell();
     let counters = engine.opt_counters();
     let keyed = match (fk.columns.as_slice(), fk.ref_columns.as_slice(), select) {
         ([child_col], [parent_col], Some(select)) => {
@@ -518,7 +513,7 @@ fn register_navigation(
         1,
         Rc::new(move |env, args| {
             let parent = one_element(&args, &fname)?;
-            if let (true, Some((child_col, parent_col, select))) = (opt.get(), &keyed) {
+            if let (true, Some((child_col, parent_col, select))) = (features.get().opt, &keyed) {
                 let key = xmlmap::xml_field(&parent_schema, &parent, parent_col)?;
                 if !key.is_null() {
                     return select(env, child_col, &key.lexical());
@@ -539,7 +534,7 @@ fn register_navigation(
             // seed's select() was a full scan per navigation call —
             // the O(n²) heart of experiment E1. The secondary index
             // turns it into a hash probe.
-            let rows = if opt.get() {
+            let rows = if features.get().opt {
                 OptCounters::bump(&counters.indexed_selects);
                 db.select_indexed(&child_schema.name, &cond)?
             } else {
@@ -587,8 +582,7 @@ pub fn introspect_web_service(
             }
         };
 
-        let opt = engine.optimize_handle();
-        let batch_on = engine.batch_handle();
+        let features = engine.features_cell();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
@@ -598,7 +592,7 @@ pub fn introspect_web_service(
             1,
             Rc::new(move |env: &mut Env, args: Vec<Sequence>| {
                 OptCounters::bump(&counters.ws_requests);
-                if !(opt.get() && batch_on.get()) {
+                if !features.get().batch_layer() {
                     OptCounters::bump(&counters.ws_issued);
                     return ws2.call(&op2, &args[0]);
                 }
@@ -624,8 +618,7 @@ pub fn introspect_web_service(
             }),
         );
 
-        let opt = engine.optimize_handle();
-        let batch_on = engine.batch_handle();
+        let features = engine.features_cell();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
@@ -635,7 +628,7 @@ pub fn introspect_web_service(
             Rc::new(move |env: &mut Env, requests: &[Sequence]| {
                 let n = requests.len();
                 OptCounters::add(&counters.ws_requests, n as u64);
-                if !(opt.get() && batch_on.get()) {
+                if !features.get().batch_layer() {
                     // The evaluator gates batching, but keep the
                     // fallback correct if called directly.
                     OptCounters::add(&counters.ws_issued, n as u64);

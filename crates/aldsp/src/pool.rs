@@ -38,12 +38,18 @@
 //! * **Panic containment.** `serve_one` runs under `catch_unwind`: a
 //!   panicking request answers its client with a typed
 //!   `aldsp:SRC_UNAVAILABLE` error instead of deadlocking every
-//!   client blocked on the dead worker's queue.
+//!   client blocked on the dead worker's queue. Workers run on
+//!   [`EVAL_STACK_BYTES`] stacks, deep enough for the engine's
+//!   call-depth limit, so runaway recursion fails one request with
+//!   `err:XQSE0007` instead of overflowing the stack (which no
+//!   `catch_unwind` can contain).
+//! * **One feature configuration.** [`ServeSpec::features`] is applied
+//!   to every worker engine after its builder runs, so a pool serves
+//!   under exactly the layers its spec names (`xqsh --serve-bench
+//!   --no-opt` reaches the workers).
 //!
-//! The kill switch `XQSE_SERVE_WORKERS` overrides the requested
-//! worker count (e.g. `XQSE_SERVE_WORKERS=1` reproduces the
-//! single-threaded numbers; EXPERIMENTS.md E14 relies on this).
-//! `XQSE_DISABLE_BUDGETS=1` disables budget creation entirely.
+//! `ServeSpec::new(1)` (`xqsh --serve-bench 1`) gives the
+//! single-threaded numbers EXPERIMENTS.md E14 compares against.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -58,7 +64,7 @@ use xdm::error::{XdmError, XdmResult};
 use xdm::sequence::{Item, Sequence};
 
 use xqeval::context::Env;
-use xqeval::{Budget, BudgetClock, OptStats};
+use xqeval::{Budget, BudgetClock, Features, OptStats, EVAL_STACK_BYTES};
 
 use crate::errors::AldspCode;
 use crate::fault;
@@ -67,9 +73,7 @@ use crate::service::DataSpace;
 /// Configuration for a [`ServePool`].
 #[derive(Clone)]
 pub struct ServeSpec {
-    /// Requested worker count (≥ 1). The `XQSE_SERVE_WORKERS`
-    /// environment variable, when set to a positive integer,
-    /// overrides this.
+    /// Worker count (0 is served as 1).
     pub workers: usize,
     /// Bound of the MPMC request queue; senders block when it is
     /// full (closed-loop back-pressure, like a server's accept
@@ -86,6 +90,9 @@ pub struct ServeSpec {
     /// since pool start; chaos tests install the resilience layer's
     /// virtual clock here for deterministic expiry.
     pub clock: Option<BudgetClock>,
+    /// The layers every worker engine evaluates with. Defaults to
+    /// [`Features::from_env`].
+    pub features: Features,
 }
 
 impl fmt::Debug for ServeSpec {
@@ -97,12 +104,14 @@ impl fmt::Debug for ServeSpec {
             .field("fuel", &self.fuel)
             .field("memory", &self.memory)
             .field("clock", &self.clock.as_ref().map(|_| "<custom>"))
+            .field("features", &self.features)
             .finish()
     }
 }
 
 impl ServeSpec {
-    /// A spec with the default queue bound and no budgets.
+    /// A spec with the default queue bound, no budgets and the
+    /// environment's features.
     pub fn new(workers: usize) -> ServeSpec {
         ServeSpec {
             workers,
@@ -111,6 +120,7 @@ impl ServeSpec {
             fuel: None,
             memory: None,
             clock: None,
+            features: Features::from_env(),
         }
     }
 
@@ -205,7 +215,7 @@ pub struct ServeReply {
 /// Per-pool totals returned by [`ServePool::shutdown`].
 #[derive(Debug, Clone)]
 pub struct PoolReport {
-    /// Effective worker count (after the kill switch).
+    /// Worker count.
     pub workers: usize,
     /// Requests served per worker (indexed by worker).
     pub served: Vec<u64>,
@@ -250,7 +260,7 @@ struct Job {
     request: ServeRequest,
     reply: Arc<ReplySlot>,
     /// The request's budget, stamped at admission; `None` when the
-    /// spec sets no limits (or budgets are disabled).
+    /// spec sets no limits.
     budget: Option<Arc<Budget>>,
 }
 
@@ -412,16 +422,6 @@ pub struct ServePool {
     counters: Arc<PoolCounters>,
 }
 
-/// Effective worker count: the `XQSE_SERVE_WORKERS` kill switch wins
-/// over the spec when it parses as a positive integer.
-pub fn effective_workers(requested: usize) -> usize {
-    let forced = std::env::var("XQSE_SERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    forced.unwrap_or(requested).max(1)
-}
-
 impl ServePool {
     /// Start the pool. `builder(i)` is invoked once on each worker
     /// thread to construct that worker's `DataSpace` over the shared
@@ -430,7 +430,7 @@ impl ServePool {
     where
         B: Fn(usize) -> XdmResult<DataSpace> + Send + Sync + 'static,
     {
-        let workers = effective_workers(spec.workers);
+        let workers = spec.workers.max(1);
         let capacity = if spec.queue_capacity == 0 {
             workers * 4
         } else {
@@ -454,9 +454,17 @@ impl ServePool {
                 let builder = builder.clone();
                 let barrier = barrier.clone();
                 let counters = counters.clone();
-                std::thread::spawn(move || {
-                    worker_loop(i, &queue, builder.as_ref(), &barrier, &counters)
-                })
+                let features = spec.features;
+                // A failed spawn is resource exhaustion; panic on it as
+                // `std::thread::spawn` does.
+                #[allow(clippy::expect_used)]
+                let handle = std::thread::Builder::new()
+                    .stack_size(EVAL_STACK_BYTES)
+                    .spawn(move || {
+                        worker_loop(i, &queue, builder.as_ref(), &barrier, &counters, features)
+                    })
+                    .expect("failed to spawn a serving worker");
+                handle
             })
             .collect();
         ServePool {
@@ -473,11 +481,8 @@ impl ServePool {
 
     /// Build the budget for one admitted request: the deadline is
     /// stamped *now*, so queue wait counts against it. `None` when the
-    /// spec sets no limits or `XQSE_DISABLE_BUDGETS=1`.
+    /// spec sets no limits.
     fn make_budget(&self) -> Option<Arc<Budget>> {
-        if !xqeval::budget::budgets_enabled() {
-            return None;
-        }
         if self.deadline_ms.is_none() && self.fuel.is_none() && self.memory.is_none() {
             return None;
         }
@@ -494,7 +499,7 @@ impl ServePool {
         Some(Arc::new(b))
     }
 
-    /// Effective worker count (after the kill switch).
+    /// Worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -585,10 +590,14 @@ fn worker_loop(
     builder: &(dyn Fn(usize) -> XdmResult<DataSpace> + Send + Sync),
     barrier: &std::sync::Barrier,
     counters: &PoolCounters,
+    features: Features,
 ) -> WorkerExit {
     // Tag this thread so injected faults record which worker hit them.
     fault::set_current_worker(Some(idx));
     let space = builder(idx);
+    if let Ok(space) = &space {
+        space.engine().set_features(features);
+    }
     let init_error = space.as_ref().err().map(|e| e.to_string());
     barrier.wait();
     let mut served = 0u64;
@@ -613,11 +622,9 @@ fn worker_loop(
         }
         let result = match &space {
             Ok(space) => {
-                // Budget creation is already gated on the kill switch;
-                // force_budget installs/clears unconditionally so the
-                // thread-local never leaks across requests even if the
-                // env changes mid-run.
-                space.engine().force_budget(job.budget.clone());
+                // Install (or clear) per request so the thread-local
+                // never leaks a budget across requests.
+                space.engine().set_budget(job.budget.clone());
                 // Contain panics: a panicking request must answer its
                 // client, or every later client blocks forever on a
                 // worker that no longer exists.
@@ -626,7 +633,7 @@ fn worker_loop(
                         Err(AldspCode::SrcUnavailable
                             .error("serving worker panicked while evaluating the request"))
                     });
-                space.engine().force_budget(None);
+                space.engine().set_budget(None);
                 note_budget_outcome(space, counters, &outcome);
                 outcome
             }

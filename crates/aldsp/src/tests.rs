@@ -10,6 +10,7 @@ use xdm::sequence::{Item, Sequence};
 use crate::decompose::{OccPolicy, UpdateOverride};
 use crate::demo;
 use crate::rel::SqlValue;
+use xqeval::Features;
 
 fn demo3() -> demo::Demo {
     demo::build(3, 2, 2).unwrap()
@@ -555,7 +556,7 @@ fn navigation_is_served_from_the_keyed_select_cache() {
 fn navigation_probes_per_call_without_batching() {
     let d = demo3();
     let engine = d.space.engine();
-    engine.set_batch(false);
+    engine.set_features(Features { batch: false, ..engine.features() });
     assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
     engine.reset_opt_stats();
     assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
@@ -568,7 +569,7 @@ fn navigation_probes_per_call_without_batching() {
 fn navigation_scans_per_call_without_the_optimizer() {
     let d = demo3();
     let engine = d.space.engine();
-    engine.set_optimize(false);
+    engine.set_features(Features { opt: false, ..engine.features() });
     assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");
     engine.reset_opt_stats();
     assert_eq!(navigated_oids(&d, 1).unwrap(), "1,2");

@@ -17,6 +17,7 @@ use aldsp::decompose::OccPolicy;
 use aldsp::rel::{CrashPoint, SqlValue, TwoPhaseCoordinator, TxOutcome, WriteOp};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
+use xqeval::Features;
 use xqse_bench::*;
 
 /// Emits each experiment table to stdout and (optionally) to
@@ -266,7 +267,7 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
 /// read wraps every already-materialized source tree (the versioned
 /// materialization caches serve them sealed) into one constructed
 /// document — the construction-bound hot path. Grafting adopts those
-/// subtrees by reference; `Engine::set_graft(false)` restores the
+/// subtrees by reference; `Features { graft: false, .. }` restores the
 /// deep-copy baseline *in the same session*, so both arms share the
 /// warmed caches and differ only in construction. Serialization is
 /// asserted byte-identical between the arms on every run.
@@ -289,9 +290,9 @@ fn e16_zero_copy(full: bool, reps: usize, r: &Reporter) {
         let d = demo::build(n, 3, 2).expect("demo");
         let engine = d.space.engine();
         let snap = |graft: bool| {
-            engine.set_graft(graft);
+            engine.set_features(Features { graft, ..engine.features() });
             let out = engine.eval_expr_str(SNAPSHOT, NS).expect("snapshot");
-            engine.set_graft(true);
+            engine.set_features(Features { graft: true, ..engine.features() });
             out
         };
         // Warm the materialization caches (and prove equivalence).
@@ -487,9 +488,10 @@ fn e12_pushdown(full: bool, reps: usize, r: &Reporter) {
                                return $e))"
         );
         let nsenv = [("ens1", "ld:hr/EMPLOYEE")];
+        let engine = f.space.engine();
+        let set_opt = |opt: bool| engine.set_features(Features { opt, ..engine.features() });
         let run = |expr: &str| -> i64 {
-            f.space
-                .engine()
+            engine
                 .eval_expr_str(expr, &nsenv)
                 .expect("eval")
                 .string_value()
@@ -498,26 +500,26 @@ fn e12_pushdown(full: bool, reps: usize, r: &Reporter) {
                 .expect("int")
         };
         // All three plans must agree on the answer.
-        f.space.engine().set_optimize(true);
+        set_opt(true);
         let expect = run(&pushable);
         assert_eq!(expect, KEYS as i64, "each key matches exactly one row");
         assert_eq!(run(&opaque), expect);
-        f.space.engine().set_optimize(false);
+        set_opt(false);
         assert_eq!(run(&pushable), expect);
         assert_eq!(run(&opaque), expect);
 
-        f.space.engine().set_optimize(true);
+        set_opt(true);
         let pushdown = median_secs(reps, || {
             run(&pushable);
         });
-        f.space.engine().set_optimize(false);
+        set_opt(false);
         let memoized = median_secs(reps, || {
             run(&pushable);
         });
         let fullscan = median_secs(reps, || {
             run(&opaque);
         });
-        f.space.engine().set_optimize(true);
+        set_opt(true);
         rows.push(vec![
             n.to_string(),
             KEYS.to_string(),
@@ -552,19 +554,18 @@ fn e11_join_ablation(full: bool, reps: usize, r: &Reporter) {
         };
         // "Unoptimized" here means the full ablation: pushdown/caching
         // off AND the hash-join rewrite itself off (the join rewrite
-        // survives the plain kill-switch, so it needs its own knob).
-        d.space.engine().set_optimize(true);
-        d.space.engine().set_join_rewrite(true);
+        // survives `opt: false`, so it has its own field).
+        let engine = d.space.engine();
+        let optimized = Features { opt: true, join: true, ..engine.features() };
+        engine.set_features(optimized);
         let on = median_secs(reps, || {
             assert_eq!(run(), n);
         });
-        d.space.engine().set_optimize(false);
-        d.space.engine().set_join_rewrite(false);
+        engine.set_features(optimized.sequential());
         let off = median_secs(reps, || {
             assert_eq!(run(), n);
         });
-        d.space.engine().set_optimize(true);
-        d.space.engine().set_join_rewrite(true);
+        engine.set_features(optimized);
         rows.push(vec![
             n.to_string(),
             format!("{:.2}", on * 1e3),
@@ -1110,7 +1111,8 @@ fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
         });
         let reparse = median_secs(reps, || {
             let engine = Rc::new(Engine::new());
-            engine.set_batch(false); // kill-switch: plan cache off, parse per call
+            // Batch layer off: plan cache off, parse per call.
+            engine.set_features(Features { batch: false, ..engine.features() });
             for _ in 0..n {
                 let got = engine.eval_query(src).expect("eval");
                 assert_eq!(got.len(), expect.len());

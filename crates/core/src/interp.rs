@@ -92,7 +92,7 @@ impl Xqse {
         // of the same source text (REPL lines, benchmark reps,
         // per-item `iterate` bodies) parse and prolog-load once, then
         // re-execute the cached plan. With plan caching disabled
-        // (`XQSE_DISABLE_BATCH=1` / optimization off) `prepare`
+        // (`batch` or `opt` off in the engine's features) `prepare`
         // degenerates to the old load-then-run path.
         let pq = self.engine.prepare(src)?;
         match &pq.module().body {
@@ -162,6 +162,7 @@ pub fn exec_procedure(
             format!("external procedure {} has no body", decl.name),
         )
     })?;
+    let _call = engine.enter_call()?;
     // Fresh environment sharing only the trace sink.
     let mut env = Env::new();
     env.trace = caller_env.trace.clone();

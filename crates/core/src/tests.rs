@@ -10,6 +10,7 @@ use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
 use xqeval::context::Env;
+use xqeval::Features;
 
 use crate::interp::Xqse;
 use crate::xqueryp::XqueryP;
@@ -854,15 +855,24 @@ fn xqueryp_disables_optimizer_during_run() {
     let engine = Rc::new(xqeval::Engine::new());
     // Pin the starting state: Engine::new honors XQSE_DISABLE_OPT, and
     // this test must pass in both CI modes.
-    engine.set_optimize(true);
-    assert!(engine.optimize_enabled());
-    assert!(engine.join_rewrite_enabled());
+    let start = Features { opt: true, join: true, ..engine.features() };
+    engine.set_features(start);
+    // A host function reports the layers the program runs under.
+    let seen = engine.features_cell();
+    engine.register_external_function(
+        QName::with_ns("urn:probe", "features"),
+        0,
+        Rc::new(move |_env, _args| {
+            let f = seen.get();
+            Ok(Sequence::one(Item::string(format!("{} {}", f.opt, f.join))))
+        }),
+    );
     let xp = XqueryP::with_engine(engine.clone());
-    xp.run("{ 1; }").unwrap();
-    // Restored afterwards — both the pushdown/caching kill-switch and
-    // the hash-join rewrite knob (sequential mode disables both).
-    assert!(engine.optimize_enabled());
-    assert!(engine.join_rewrite_enabled());
+    let out = xp.run("declare namespace p = \"urn:probe\"; { p:features(); }").unwrap();
+    // Sequential mode disables both the optimizer and the hash-join
+    // rewrite for the run, and restores both afterwards.
+    assert_eq!(s(&out), "false false");
+    assert_eq!(engine.features(), start);
 }
 
 #[test]

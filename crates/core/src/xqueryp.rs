@@ -71,10 +71,8 @@ impl XqueryP {
         // XQSE applies inside declarative cores are switched off for
         // the whole program — the E7 experiment measures the
         // resulting gap.
-        let was_opt = self.engine.optimize_enabled();
-        let was_join = self.engine.join_rewrite_enabled();
-        self.engine.set_optimize(false);
-        self.engine.set_join_rewrite(false);
+        let saved = self.engine.features();
+        self.engine.set_features(saved.sequential());
         let result = (|| {
             let module = self.engine.load(src)?;
             match &module.body {
@@ -85,8 +83,7 @@ impl XqueryP {
                 }
             }
         })();
-        self.engine.set_optimize(was_opt);
-        self.engine.set_join_rewrite(was_join);
+        self.engine.set_features(saved);
         result
     }
 

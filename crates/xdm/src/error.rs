@@ -73,6 +73,9 @@ pub enum ErrorCode {
     XQSE0005,
     /// XQSE: binding-sequence variable mutated inside `iterate`.
     XQSE0006,
+    /// XQSE: user function and procedure calls nested deeper than the
+    /// engine's call-depth limit (runaway recursion).
+    XQSE0007,
     /// ALDSP: optimistic-concurrency conflict detected at update time.
     DSP0001,
     /// ALDSP: update decomposition failed (ambiguous lineage).
@@ -115,6 +118,7 @@ impl ErrorCode {
             ErrorCode::XQSE0004 => "XQSE0004",
             ErrorCode::XQSE0005 => "XQSE0005",
             ErrorCode::XQSE0006 => "XQSE0006",
+            ErrorCode::XQSE0007 => "XQSE0007",
             ErrorCode::DSP0001 => "DSP0001",
             ErrorCode::DSP0002 => "DSP0002",
             ErrorCode::DSP0003 => "DSP0003",

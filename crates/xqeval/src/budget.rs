@@ -29,9 +29,10 @@
 //! chaos tests hand in the resilience layer's *virtual* clock so
 //! deadline expiry is deterministic; `xqsh` uses real elapsed time.
 //!
-//! The whole subsystem has a kill switch: `XQSE_DISABLE_BUDGETS=1`
-//! (same convention as `XQSE_DISABLE_OPT`/`XQSE_DISABLE_BATCH`) makes
-//! every installation site a no-op, restoring pre-budget behavior.
+//! There is no switch for the subsystem: a request without limits
+//! (an `aldsp::pool::ServeSpec` or `xqsh` run that sets none) carries
+//! no budget and pays only the one `Cell<bool>` read per evaluation
+//! step.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -61,14 +62,6 @@ const UNLIMITED: u64 = u64::MAX;
 /// precision gain (coarse-grained sites — loop heads, source calls,
 /// 2PC protocol points — check unstrided).
 const DEADLINE_STRIDE: u64 = 64;
-
-/// Is the budget subsystem enabled? `XQSE_DISABLE_BUDGETS=1` turns
-/// every installation site into a no-op (the kill switch restoring
-/// pre-budget behavior). Read per call, matching the
-/// `XQSE_SERVE_WORKERS` convention.
-pub fn budgets_enabled() -> bool {
-    !matches!(std::env::var("XQSE_DISABLE_BUDGETS").as_deref(), Ok("1"))
-}
 
 /// Why a budget check failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -451,17 +444,5 @@ mod budget_tests {
             .unwrap();
         set_current_budget(None);
         assert!(current_budget().is_none());
-    }
-
-    #[test]
-    fn kill_switch_reads_the_env() {
-        // The env var is process-global; only assert the default here
-        // (the XQSE_DISABLE_BUDGETS=1 check.sh arm exercises the off
-        // state end to end).
-        if std::env::var("XQSE_DISABLE_BUDGETS").as_deref() != Ok("1") {
-            assert!(budgets_enabled());
-        } else {
-            assert!(!budgets_enabled());
-        }
     }
 }

@@ -440,7 +440,7 @@ impl<'e> Evaluator<'e> {
                 let elem = NodeHandle::new_element(&arena, q);
                 if let Some(c) = content {
                     let seq = self.eval(c, env)?;
-                    assemble_content(&elem, &seq, self.engine.graft_enabled())?;
+                    assemble_content(&elem, &seq, self.engine.features().graft)?;
                 }
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(elem)))
@@ -492,7 +492,7 @@ impl<'e> Evaluator<'e> {
                 let before = xdm::xdm_stats();
                 let seq = self.eval(c, env)?;
                 let doc = NodeHandle::new_document();
-                assemble_content(&doc, &seq, self.engine.graft_enabled())?;
+                assemble_content(&doc, &seq, self.engine.features().graft)?;
                 self.settle_construction_memory(doc.arena(), &before)?;
                 Ok(Sequence::one(Item::Node(doc)))
             }
@@ -891,7 +891,7 @@ impl<'e> Evaluator<'e> {
         // write-epoch stamp. With the optimizer off, *everything* is
         // epoch-stamped — any write then invalidates, which is the
         // baseline's blanket policy.
-        let cap = if self.engine.optimize_enabled() {
+        let cap = if self.engine.features().opt {
             match source {
                 Expr::FunctionCall { name, args } if args.is_empty() => {
                     self.engine.source_capability(name)
@@ -1400,6 +1400,7 @@ impl<'e> Evaluator<'e> {
         args: Vec<Sequence>,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
+        let _call = self.engine.enter_call()?;
         env.push_scope();
         let result = (|| {
             for (p, a) in decl.params.iter().zip(args) {
@@ -1518,7 +1519,7 @@ impl<'e> Evaluator<'e> {
                 }
                 DirectContent::Expr(e) => {
                     let v = self.eval(e, env)?;
-                    assemble_content(&elem, &v, self.engine.graft_enabled())?;
+                    assemble_content(&elem, &v, self.engine.features().graft)?;
                 }
             }
         }

@@ -5,6 +5,8 @@
 //! - [`engine::Engine`] — the compilation/registration façade: load
 //!   modules, register external functions and procedures (this is how
 //!   ALDSP binds physical sources), then evaluate queries;
+//! - [`Features`] — which optional layers (optimizer, join rewrite,
+//!   batching, grafting) an engine evaluates with;
 //! - [`context::Env`] — the dynamic context: variable scopes, focus
 //!   (context item / position / size), the pending-update list slot,
 //!   and the trace sink;
@@ -25,6 +27,7 @@ pub mod cache;
 pub mod context;
 pub mod engine;
 pub mod eval;
+pub mod features;
 pub mod fold;
 pub mod functions;
 pub mod regex_lite;
@@ -36,9 +39,10 @@ pub use cache::Lru;
 pub use context::Env;
 pub use engine::{
     BatchFn, ColClass, Engine, ExternalFn, OptCounters, OptStats, PreparedQuery,
-    ProcRunner, SourceCapability, SourceSelectFn,
+    ProcRunner, SourceCapability, SourceSelectFn, EVAL_STACK_BYTES, MAX_CALL_DEPTH,
 };
 pub use eval::Evaluator;
+pub use features::Features;
 pub use update::{Pul, Update};
 
 #[cfg(test)]

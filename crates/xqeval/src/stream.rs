@@ -373,18 +373,19 @@ impl Pipeline {
 /// pushdown, then hash join, then batching.
 fn lower(ev: &Evaluator<'_>, clauses: &[FlworClause]) -> Vec<Op> {
     let engine = ev.engine();
+    let features = engine.features();
     clauses
         .iter()
         .enumerate()
         .map(|(i, c)| {
             let FlworClause::For { var, pos: None, source } = c else { return Op::Plain };
             let next = clauses.get(i + 1);
-            let join = if engine.join_rewrite_enabled() {
+            let join = if features.join {
                 ev.detect_join(var, source, next)
             } else {
                 None
             };
-            if engine.optimize_enabled() {
+            if features.opt {
                 if let Some(pd) = ev.detect_pushdown(var, source, next) {
                     return Op::PointSelect { pd: Box::new(pd), join, fired: false };
                 }
@@ -392,7 +393,7 @@ fn lower(ev: &Evaluator<'_>, clauses: &[FlworClause]) -> Vec<Op> {
             if let Some(join) = join {
                 return Op::HashProbe(join);
             }
-            if engine.optimize_enabled() && engine.batch_enabled() {
+            if features.batch_layer() {
                 if let Expr::FunctionCall { name, args } = source {
                     if args.len() == 1 {
                         if let Some(f) = engine.batchable(name, 1) {

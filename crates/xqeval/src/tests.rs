@@ -10,6 +10,8 @@ use xdm::error::ErrorCode;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
+use crate::Features;
+
 use xmlparse::{parse, serialize, serialize_sequence};
 
 use crate::context::Env;
@@ -656,7 +658,7 @@ const JOIN_Q: &str = "for $c in db:CUSTOMER() \
 fn hash_join_and_nested_loop_agree() {
     let engine = join_engine(30);
     let fast = engine.eval_expr_str(JOIN_Q, &[("db", "urn:db")]).unwrap();
-    engine.set_optimize(false);
+    engine.set_features(Features { opt: false, ..engine.features() });
     let slow = engine.eval_expr_str(JOIN_Q, &[("db", "urn:db")]).unwrap();
     assert_eq!(fast, slow);
     assert_eq!(fast.len(), 30);
@@ -937,7 +939,7 @@ fn registering_externals_invalidates_cached_plans() {
 #[test]
 fn plan_cache_disabled_with_batch_kill_switch() {
     let engine = Engine::new();
-    engine.set_batch(false);
+    engine.set_features(Features { batch: false, ..engine.features() });
     let src = "1 + 1";
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "2");
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "2");
@@ -998,7 +1000,7 @@ fn prepared_constant_folding_matches_unfolded_result() {
     let engine = Engine::new();
     let src = "(1 + 2 * 3) = 7";
     let cached = engine.eval_query(src).unwrap();
-    engine.set_batch(false);
+    engine.set_features(Features { batch: false, ..engine.features() });
     let plain = engine.eval_query(src).unwrap();
     assert_eq!(as_string(&cached), as_string(&plain));
     assert_eq!(as_string(&cached), "true");

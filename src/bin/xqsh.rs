@@ -9,15 +9,16 @@
 //! Runs the module (expression or block body) and prints the
 //! serialized result. `--trace` also prints `fn:trace` output;
 //! `--xqueryp` executes in XQueryP sequential mode (the §IV baseline);
-//! `--explain` prints the optimizer's hit/miss/invalidation counters
-//! (join cache, materialization cache, pushdown rewrites, plan cache,
-//! web-service coalescing) plus the XA crash-recovery totals to
-//! stderr after the run; `--no-opt`
-//! disables the pushdown/caching layer (equivalent to
-//! XQSE_DISABLE_OPT=1); `--no-batch` disables only the prepared-plan
-//! and source-batching layer (equivalent to XQSE_DISABLE_BATCH=1);
-//! `--no-graft` disables zero-copy subtree adoption in constructors
-//! (equivalent to XQSE_DISABLE_GRAFT=1 — the E16 ablation);
+//! `--explain` prints the feature configuration and the optimizer's
+//! hit/miss/invalidation counters (join cache, materialization cache,
+//! pushdown rewrites, plan cache, web-service coalescing) plus the XA
+//! crash-recovery totals to stderr after the run. `--no-opt`,
+//! `--no-batch` and `--no-graft` switch one layer off — the optimizer,
+//! the prepared-plan and source-batching layer, zero-copy subtree
+//! adoption (the E16 ablation) — and are the command-line spellings
+//! of `XQSE_DISABLE_OPT=1`, `XQSE_DISABLE_BATCH=1` and
+//! `XQSE_DISABLE_GRAFT=1`: both map onto one `xqeval::Features` value,
+//! which also reaches every `--serve-bench` worker.
 //! `--doc` registers an XML file so `fn:doc("URI")` resolves.
 //!
 //! In script mode the result is serialized **incrementally**: a FLWOR
@@ -38,9 +39,8 @@
 //! distinct customers, each call paying `--delay-us` microseconds of
 //! simulated web-service latency), printing queries/sec. Under the
 //! pool, `--explain` prints the **aggregated** per-worker counters as
-//! one totals line. The env kill switch `XQSE_SERVE_WORKERS`
-//! overrides N (EXPERIMENTS.md E14 uses `XQSE_SERVE_WORKERS=1` to
-//! reproduce single-threaded numbers).
+//! one totals line. `--serve-bench 1` gives the single-threaded
+//! numbers EXPERIMENTS.md E14 compares against.
 //!
 //! `--deadline-ms MS` / `--fuel N` attach a per-request budget: in
 //! script/repl mode the whole program runs under one budget (real
@@ -51,14 +51,18 @@
 //! load-shedding driver: clients submit at 4× pool concurrency
 //! without back-pressure and excess arrivals are shed fast with
 //! `aldsp:OVERLOADED`; the report line prints
-//! offered/completed/shed/cancelled. `XQSE_DISABLE_BUDGETS=1` is the
-//! budget kill switch.
+//! offered/completed/shed/cancelled.
+//!
+//! Programs run on a thread with an `xqeval::EVAL_STACK_BYTES` stack,
+//! so recursion deeper than `xqeval::MAX_CALL_DEPTH` nested calls
+//! fails with the catchable `err:XQSE0007` instead of overflowing the
+//! stack and aborting the process.
 
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use xqeval::{Engine, Env, OptStats};
+use xqeval::{Engine, Env, Features, OptStats};
 use xqse::xqueryp::XqueryP;
 use xqse::Xqse;
 
@@ -73,14 +77,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool) {
+fn print_explain_stats(s: &OptStats, features: Features) {
     // Every feature flag and every counter group prints
     // unconditionally — zero-valued counters included — so bench
     // scripts can parse the explain block without first guessing
     // which features were engaged on this run.
-    eprintln!("explain: optimize = {optimize}");
-    eprintln!("explain: batch    = {batch}");
-    eprintln!("explain: graft    = {graft}");
+    eprintln!("explain: optimize = {}", features.opt);
+    eprintln!("explain: batch    = {}", features.batch);
+    eprintln!("explain: graft    = {}", features.graft);
     eprintln!(
         "explain: join cache     hits={} misses={} invalidations={}",
         s.join_hits, s.join_misses, s.join_invalidations
@@ -126,12 +130,7 @@ fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool) {
 }
 
 fn print_explain(engine: &Engine) {
-    print_explain_stats(
-        &engine.opt_stats(),
-        engine.optimize_enabled(),
-        engine.batch_enabled(),
-        engine.graft_enabled(),
-    );
+    print_explain_stats(&engine.opt_stats(), engine.features());
 }
 
 /// The `--serve-bench` mode: the E14 closed-loop throughput driver,
@@ -145,7 +144,7 @@ fn serve_bench(
     overload: bool,
     deadline_ms: Option<u64>,
     fuel: Option<u64>,
-    no_graft: bool,
+    features: Features,
 ) -> ExitCode {
     use aldsp::demo;
     use aldsp::pool::{
@@ -164,6 +163,7 @@ fn serve_bench(
     };
     let (db1, db2) = (demo.db1.clone(), demo.db2.clone());
     let mut spec = ServeSpec::new(workers);
+    spec.features = features;
     if overload {
         // Admission control needs a bound to enforce: cap the queue at
         // one waiting request per worker so the 4× offered load
@@ -178,19 +178,11 @@ fn serve_bench(
         spec = spec.with_fuel(steps);
     }
     let pool = ServePool::start(spec, move |_worker| {
-        let space = demo::assemble(
+        demo::assemble(
             &db1,
             &db2,
             WebService::credit_rating_delayed(demo::CREDIT_TYPES_NS, delay_us),
-        );
-        // Per-worker engines read XQSE_DISABLE_GRAFT themselves at
-        // construction; the --no-graft flag has to reach them here.
-        if let Ok(s) = &space {
-            if no_graft {
-                s.engine().set_graft(false);
-            }
-        }
-        space
+        )
     });
     let reqs: Vec<ServeRequest> = (0..requests)
         .map(|i| ServeRequest::Get {
@@ -258,17 +250,9 @@ fn serve_bench(
         }
     }
     if explain {
-        // Aggregated per-worker counters, one totals block. The pool
-        // has no single engine to query, so the feature lines mirror
-        // what the per-worker engines computed: env kill switch
-        // combined with the CLI flag.
-        let env_on = |k: &str| !matches!(std::env::var(k).as_deref(), Ok("1"));
-        print_explain_stats(
-            &report.stats,
-            env_on("XQSE_DISABLE_OPT"),
-            env_on("XQSE_DISABLE_BATCH"),
-            !no_graft && env_on("XQSE_DISABLE_GRAFT"),
-        );
+        // Aggregated per-worker counters, one totals block, under the
+        // features the pool applied to every worker engine.
+        print_explain_stats(&report.stats, features);
     }
     if errors > 0 || report.init_errors.iter().any(Option::is_some) {
         ExitCode::FAILURE
@@ -278,14 +262,28 @@ fn serve_bench(
 }
 
 fn main() -> ExitCode {
+    // Evaluate on a stack deep enough for the engine's call-depth
+    // limit: the main thread's is not, and overflowing it aborts.
+    let evaluator = match std::thread::Builder::new()
+        .stack_size(xqeval::EVAL_STACK_BYTES)
+        .spawn(run)
+    {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("xqsh: cannot start the evaluation thread: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    evaluator.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut source_arg: Option<String> = None;
     let mut trace = false;
     let mut sequential = false;
     let mut explain = false;
-    let mut no_opt = false;
-    let mut no_batch = false;
-    let mut no_graft = false;
+    let mut features = Features::from_env();
     let mut repl = false;
     let mut serve_workers: Option<usize> = None;
     let mut serve_requests: usize = 64;
@@ -300,9 +298,7 @@ fn main() -> ExitCode {
             "--trace" => trace = true,
             "--xqueryp" => sequential = true,
             "--explain" => explain = true,
-            "--no-opt" => no_opt = true,
-            "--no-batch" => no_batch = true,
-            "--no-graft" => no_graft = true,
+            flag if features.apply_flag(flag) => {}
             "--repl" => repl = true,
             "--overload" => overload = true,
             "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
@@ -348,7 +344,7 @@ fn main() -> ExitCode {
             overload,
             deadline_ms,
             fuel,
-            no_graft,
+            features,
         );
     }
     if overload || (repl && (source_arg.is_some() || sequential)) {
@@ -356,19 +352,10 @@ fn main() -> ExitCode {
     }
 
     let engine = Rc::new(Engine::new());
-    if no_opt {
-        engine.set_optimize(false);
-    }
-    if no_batch {
-        engine.set_batch(false);
-    }
-    if no_graft {
-        engine.set_graft(false);
-    }
+    engine.set_features(features);
     if deadline_ms.is_some() || fuel.is_some() {
         // One budget covers the whole script (or repl session), on
-        // real elapsed time. `XQSE_DISABLE_BUDGETS=1` makes this a
-        // no-op inside set_budget.
+        // real elapsed time.
         let t0 = std::time::Instant::now();
         let clock: xqeval::BudgetClock =
             std::sync::Arc::new(move || t0.elapsed().as_millis() as u64);

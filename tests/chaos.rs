@@ -21,7 +21,7 @@ use xqse_repro::aldsp::{
 };
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
-use xqse_repro::xqeval::Env;
+use xqse_repro::xqeval::{Env, Features};
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -316,7 +316,7 @@ fn breaker_opens_and_reads_degrade_to_stale_cache() {
     // point-select and the faulted full scan never runs at all (see
     // `stale_snapshot_keys_caches_while_breaker_open` for the
     // optimized counterpart).
-    d.space.engine().set_optimize(false);
+    d.space.engine().set_features(Features { opt: false, ..d.space.engine().features() });
     let res = d.space.install_resilience(Resilience::new(Policy {
         max_retries: 0,
         breaker_threshold: 3,
@@ -521,7 +521,7 @@ fn hr_space() -> (DataSpace, Database) {
         .unwrap();
     let space = DataSpace::new();
     space.register_relational_source(&db).unwrap();
-    space.engine().set_optimize(true);
+    space.engine().set_features(Features { opt: true, ..space.engine().features() });
     (space, db)
 }
 
@@ -559,7 +559,7 @@ fn committed_write_invalidates_materialized_read() {
 #[test]
 fn two_pc_abort_keeps_versions_and_materialized_trees_valid() {
     let d = demo::build(3, 1, 1).unwrap();
-    d.space.engine().set_optimize(true);
+    d.space.engine().set_features(Features { opt: true, ..d.space.engine().features() });
 
     // Warm every read function's materialized tree.
     let warm = d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
@@ -748,7 +748,7 @@ fn version_stamped_join_entries_survive_unrelated_writes() {
     // that table's version, so AUDIT writes (which only bump the write
     // epoch) leave it intact across all four statements.
     let (space, _hr, log) = payroll_space();
-    space.engine().set_optimize(true);
+    space.engine().set_features(Features { opt: true, ..space.engine().features() });
     space.engine().reset_opt_stats();
     let out = space.xqse().run(PAYROLL_AUDIT_LOOP).unwrap();
     assert_eq!(out.string_value().unwrap(), "32");
@@ -763,7 +763,7 @@ fn version_stamped_join_entries_survive_unrelated_writes() {
     // epoch-stamped, so every AUDIT write kills it (the seed's blanket
     // any-write policy). Same answer, three extra rebuilds.
     let (space, _hr, _log) = payroll_space();
-    space.engine().set_optimize(false);
+    space.engine().set_features(Features { opt: false, ..space.engine().features() });
     space.engine().reset_opt_stats();
     let out = space.xqse().run(PAYROLL_AUDIT_LOOP).unwrap();
     assert_eq!(out.string_value().unwrap(), "32");
@@ -793,7 +793,7 @@ declare namespace ens = "ld:hr/EMPLOYEE";
 }
 "#;
     let (space, hr, _log) = payroll_space();
-    space.engine().set_optimize(true);
+    space.engine().set_features(Features { opt: true, ..space.engine().features() });
     space.engine().reset_opt_stats();
     let out = space.xqse().run(SELF_WRITE_LOOP).unwrap();
     assert_eq!(out.string_value().unwrap(), "8,9,10,11");
@@ -860,9 +860,9 @@ proptest! {
         ops in collection::vec((0u8..3, 1i64..6, 0u8..4), 1..20)
     ) {
         let (opt, _odb) = agreement_space();
-        opt.engine().set_optimize(true);
+        opt.engine().set_features(Features { opt: true, ..opt.engine().features() });
         let (plain, _pdb) = agreement_space();
-        plain.engine().set_optimize(false);
+        plain.engine().set_features(Features { opt: false, ..plain.engine().features() });
         let mut model = std::collections::BTreeSet::new();
         model.insert(1i64);
 
@@ -923,8 +923,8 @@ fn breaker_opens_mid_batch_flight() {
 
     // Healthy warm-up: one batch of 3 requests, one coalesced flight.
     // Pin the layer on: CI re-runs this suite under the kill switches.
-    space.engine().set_optimize(true);
-    space.engine().set_batch(true);
+    let engine = space.engine();
+    engine.set_features(Features { opt: true, batch: true, ..engine.features() });
     space.engine().reset_opt_stats();
     let warm = space.engine().eval_expr_str(&rating_batch_query(1, 3), &cre).unwrap();
     assert_eq!(warm.len(), 3);
@@ -1412,6 +1412,26 @@ mod serve {
         }
         assert_eq!(db.row_count("ALPHA").unwrap(), 2 * ITERS as usize);
         assert_eq!(db.row_count("BETA").unwrap(), 2 * ITERS as usize);
+    }
+
+    /// Runaway recursion in one request fails that request with the
+    /// typed `err:XQSE0007`; it must not overflow the worker's stack
+    /// (which aborts the whole process), and the same single worker
+    /// serves the next request.
+    #[test]
+    fn serve_deep_recursion_fails_one_request_and_the_pool_survives() {
+        const F: &str =
+            "declare function local:f($n) { if ($n eq 0) then 0 else 1 + local:f($n - 1) };";
+        let pool = ServePool::start(ServeSpec::new(1), |_| Ok(DataSpace::new()));
+        let deep = pool.call(ServeRequest::Run { program: format!("{F} local:f(100000)") });
+        let err = deep.result.unwrap_err();
+        assert_eq!(err.code.local, "XQSE0007", "{err}");
+        let next = pool.call(ServeRequest::Run { program: format!("{F} local:f(500)") });
+        assert_eq!(next.worker, 0);
+        assert_eq!(next.result.unwrap(), "500");
+        let report = pool.shutdown();
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.served, vec![2]);
     }
 
     fn get_req(cid: usize) -> ServeRequest {
@@ -1955,9 +1975,9 @@ mod budget {
     fn budget_fuel_halts_a_runaway_xqse_loop() {
         let space = DataSpace::new();
         let budget = Arc::new(Budget::unlimited().limit_fuel(256));
-        space.engine().force_budget(Some(budget.clone()));
+        space.engine().set_budget(Some(budget.clone()));
         let err = space.xqse().run(&counting_loop(10_000_000)).unwrap_err();
-        space.engine().force_budget(None);
+        space.engine().set_budget(None);
         assert_eq!(AldspCode::of(&err), Some(AldspCode::FuelExhausted), "{err:?}");
         assert_eq!(budget.remaining_fuel(), Some(0));
         assert_eq!(budget.steps_taken(), 256, "fuel is one unit per eval step");
@@ -1975,9 +1995,9 @@ mod budget {
         };
         let space = DataSpace::new();
         let budget = Arc::new(Budget::with_clock(clock).deadline_in(200));
-        space.engine().force_budget(Some(budget.clone()));
+        space.engine().set_budget(Some(budget.clone()));
         let err = space.xqse().run(&counting_loop(100_000_000)).unwrap_err();
-        space.engine().force_budget(None);
+        space.engine().set_budget(None);
         assert_eq!(AldspCode::of(&err), Some(AldspCode::DeadlineExceeded), "{err:?}");
         assert_eq!(budget.remaining_ms(), Some(0));
     }
@@ -1988,7 +2008,7 @@ mod budget {
     fn budget_memory_limit_bounds_node_construction() {
         let space = DataSpace::new();
         let budget = Arc::new(Budget::unlimited().limit_memory(4));
-        space.engine().force_budget(Some(budget.clone()));
+        space.engine().set_budget(Some(budget.clone()));
         // Construction-aware accounting: `<A><B/></A>` costs two units
         // (one admission unit covering the root + one per extra node
         // record), so the 3rd tree breaches a 4-unit ceiling.
@@ -1996,7 +2016,7 @@ mod budget {
         for _ in 0..10 {
             outcomes.push(space.engine().eval_expr_str("<A><B/></A>", &[]));
         }
-        space.engine().force_budget(None);
+        space.engine().set_budget(None);
         assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 2);
         let err = outcomes.iter().find_map(|o| o.as_ref().err()).unwrap();
         assert_eq!(AldspCode::of(err), Some(AldspCode::MemoryLimit), "{err:?}");
@@ -2016,11 +2036,11 @@ mod budget {
                      return <wrap>{$x}</wrap>";
         let charged = |graft: bool| -> u64 {
             let space = DataSpace::new();
-            space.engine().set_graft(graft);
+            space.engine().set_features(Features { graft, ..space.engine().features() });
             let budget = Arc::new(Budget::unlimited().limit_memory(1_000_000));
-            space.engine().force_budget(Some(budget.clone()));
+            space.engine().set_budget(Some(budget.clone()));
             space.engine().eval_expr_str(query, &[]).unwrap();
-            space.engine().force_budget(None);
+            space.engine().set_budget(None);
             1_000_000 - budget.remaining_memory().unwrap()
         };
         let with_graft = charged(true);
@@ -2145,33 +2165,21 @@ mod budget {
         assert_eq!(report.completed, 2, "a panic is an ordinary completed error");
     }
 
-    /// The kill switch: this test asserts whichever behavior the
-    /// process was launched under, so `scripts/check.sh` runs it both
-    /// ways — plain (budgets enforced) and with
-    /// `XQSE_DISABLE_BUDGETS=1` (pre-budget behavior restored: the
-    /// same over-limit request simply runs to completion).
+    /// A pool spec's fuel allowance reaches every request: an
+    /// over-limit program is cancelled with `aldsp:FUEL_EXHAUSTED` and
+    /// counted in the report's `cancelled` bucket and fuel counter.
     #[test]
-    fn budget_kill_switch_restores_unbudgeted_serving() {
-        let enabled = xqse_repro::xqeval::budget::budgets_enabled();
+    fn budget_pool_fuel_spec_cancels_an_over_limit_request() {
         let pool = ServePool::start(
             ServeSpec::new(1).with_fuel(64),
             |_| Ok(DataSpace::new()),
         );
         let reply = pool.call(ServeRequest::Run { program: counting_loop(2_000) });
         let report = pool.shutdown();
-        if enabled {
-            let err = reply.result.unwrap_err();
-            assert_eq!(AldspCode::of(&err), Some(AldspCode::FuelExhausted), "{err:?}");
-            assert_eq!(report.cancelled, 1);
-            assert_eq!(report.stats.budget_fuel, 1);
-        } else {
-            assert!(
-                reply.result.unwrap().contains("2000"),
-                "with XQSE_DISABLE_BUDGETS=1 the fuel spec must be inert"
-            );
-            assert_eq!(report.cancelled, 0);
-            assert_eq!(report.completed, 1);
-        }
+        let err = reply.result.unwrap_err();
+        assert_eq!(AldspCode::of(&err), Some(AldspCode::FuelExhausted), "{err:?}");
+        assert_eq!(report.cancelled, 1);
+        assert_eq!(report.stats.budget_fuel, 1);
     }
 
     proptest! {
@@ -2243,7 +2251,7 @@ mod budget {
                     .deadline_in(deadline)
                     .limit_fuel(fuel),
             );
-            space.engine().force_budget(Some(budget));
+            space.engine().set_budget(Some(budget));
             let _ = space.xqse().run(
                 r#"
                 declare namespace t = "urn:test";
@@ -2257,7 +2265,7 @@ mod budget {
                 }
                 "#,
             );
-            space.engine().force_budget(None);
+            space.engine().set_budget(None);
 
             let _ = space.recover();
             let (ra, rb) = (rows(&primary), rows(&backup));
@@ -2293,7 +2301,7 @@ mod budget {
                 let t0 = Instant::now();
                 let clock: BudgetClock =
                     Arc::new(move || t0.elapsed().as_millis() as u64);
-                space.engine().force_budget(Some(Arc::new(
+                space.engine().set_budget(Some(Arc::new(
                     Budget::with_clock(clock)
                         .deadline_in(3_600_000)
                         .limit_fuel(u64::MAX / 4),
@@ -2304,7 +2312,7 @@ mod budget {
                 space.xqse().run(&program).unwrap();
             }
             let elapsed = start.elapsed().as_secs_f64();
-            space.engine().force_budget(None);
+            space.engine().set_budget(None);
             elapsed
         };
 
@@ -2375,7 +2383,8 @@ mod graft {
             let query = build_query(&parts);
             let run = |graft: bool| {
                 let d = demo::build(4, 2, 1).unwrap();
-                d.space.engine().set_graft(graft);
+                let engine = d.space.engine();
+                engine.set_features(Features { graft, ..engine.features() });
                 let before = d.space.engine().opt_stats();
                 let out = d.space.engine().eval_expr_str(&query, CUS_NS).unwrap();
                 let stats = d.space.engine().opt_stats();
@@ -2404,7 +2413,8 @@ mod graft {
     #[test]
     fn repeated_splices_are_distinct_logical_nodes() {
         let d = demo::build(2, 1, 1).unwrap();
-        d.space.engine().set_graft(true);
+        let engine = d.space.engine();
+        engine.set_features(Features { graft: true, ..engine.features() });
         let out = d
             .space
             .engine()
@@ -2426,7 +2436,8 @@ mod graft {
     fn original_tree_stays_parentless_after_splice() {
         for graft in [true, false] {
             let d = demo::build(2, 1, 1).unwrap();
-            d.space.engine().set_graft(graft);
+            let engine = d.space.engine();
+            engine.set_features(Features { graft, ..engine.features() });
             let out = d
                 .space
                 .engine()
@@ -2447,7 +2458,7 @@ mod graft {
     fn mutating_grafted_result_leaves_source_cache_pristine() {
         let d = demo::build(3, 1, 1).unwrap();
         let engine = d.space.engine();
-        engine.set_graft(true);
+        engine.set_features(Features { graft: true, ..engine.features() });
         let baseline =
             serialize_sequence(&engine.eval_expr_str("c:CUSTOMER()", CUS_NS).unwrap());
 
@@ -2487,16 +2498,13 @@ mod graft {
         const CUSTOMERS: usize = 8;
         let d = demo::build(CUSTOMERS, 2, 1).unwrap();
         let (db1, db2) = (d.db1.clone(), d.db2.clone());
-        let pool = ServePool::start(ServeSpec::new(4), move |_worker| {
-            let space =
-                demo::assemble(&db1, &db2, WebService::credit_rating(demo::CREDIT_TYPES_NS));
-            // Force grafting on so the engagement assert below holds even
-            // when the suite runs under XQSE_DISABLE_GRAFT=1 (check.sh's
-            // kill-switch arm); the copy oracle below is env-independent.
-            if let Ok(s) = &space {
-                s.engine().set_graft(true);
-            }
-            space
+        // Force grafting on so the engagement assert below holds even
+        // when the suite runs under XQSE_DISABLE_GRAFT=1 (check.sh's
+        // kill-switch arm); the copy oracle below is env-independent.
+        let mut spec = ServeSpec::new(4);
+        spec.features.graft = true;
+        let pool = ServePool::start(spec, move |_worker| {
+            demo::assemble(&db1, &db2, WebService::credit_rating(demo::CREDIT_TYPES_NS))
         });
         let reqs: Vec<ServeRequest> = (1..=CUSTOMERS)
             .cycle()
@@ -2516,7 +2524,8 @@ mod graft {
         );
 
         // Deep-copy oracle on a private engine.
-        d.space.engine().set_graft(false);
+        let engine = d.space.engine();
+        engine.set_features(Features { graft: false, ..engine.features() });
         for (i, reply) in replies.iter().enumerate() {
             let cid = (i % CUSTOMERS) + 1;
             let got = reply.result.as_ref().unwrap();

@@ -166,3 +166,68 @@ fn explain_block_prints_all_lines_unconditionally() {
         }
     }
 }
+
+/// Run xqsh with `args` (no script) and the feature env vars cleared,
+/// so the flags alone decide the configuration.
+fn run_args(args: &[&str]) -> (String, String, bool) {
+    let mut cmd = xqsh();
+    cmd.args(args);
+    for k in ["XQSE_DISABLE_OPT", "XQSE_DISABLE_BATCH", "XQSE_DISABLE_GRAFT"] {
+        cmd.env_remove(k);
+    }
+    let out = cmd.output().expect("run xqsh");
+    (
+        String::from_utf8_lossy(&out.stdout).to_string(),
+        String::from_utf8_lossy(&out.stderr).to_string(),
+        out.status.success(),
+    )
+}
+
+/// The `--no-*` flags reach the serving pool's worker engines, and the
+/// explain block reports the configuration the workers ran under.
+#[test]
+fn serve_bench_feature_flags_reach_the_workers() {
+    let serve = ["--serve-bench", "2", "--requests", "8", "--delay-us", "0", "--explain"];
+    let (_, on, ok) = run_args(&serve);
+    assert!(ok, "{on}");
+    assert!(on.contains("explain: optimize = true"), "{on}");
+    assert!(!on.contains("explain: pushdown       rewrites=0 "), "{on}");
+
+    let (_, no_opt, ok) = run_args(&[&serve[..], &["--no-opt"]].concat());
+    assert!(ok, "{no_opt}");
+    assert!(no_opt.contains("explain: optimize = false"), "{no_opt}");
+    assert!(no_opt.contains("explain: pushdown       rewrites=0 "), "{no_opt}");
+
+    let (_, no_batch, ok) = run_args(&[&serve[..], &["--no-batch"]].concat());
+    assert!(ok, "{no_batch}");
+    assert!(no_batch.contains("explain: optimize = true"), "{no_batch}");
+    assert!(no_batch.contains("explain: batch    = false"), "{no_batch}");
+    assert!(no_batch.contains("explain: plan cache     hits=0 misses=0"), "{no_batch}");
+}
+
+const DEEP_RECURSION: &str =
+    "declare function local:f($n) { if ($n eq 0) then 0 else 1 + local:f($n - 1) };";
+
+/// Runaway recursion is a typed error, not a stack overflow that
+/// aborts the process; a script can catch it.
+#[test]
+fn deep_recursion_raises_xqse0007() {
+    let (_, stderr, ok) = run_stdin(&[], &format!("{DEEP_RECURSION} local:f(5000)"));
+    assert!(!ok);
+    assert!(stderr.contains("XQSE0007"), "{stderr}");
+
+    let (stdout, stderr, ok) = run_stdin(
+        &[],
+        &format!(
+            "{DEEP_RECURSION} {{ try {{ return value local:f(100000); }} \
+             catch (*:XQSE0007) {{ return value 'caught'; }} }}"
+        ),
+    );
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.trim(), "caught");
+
+    // Within the limit recursion still works.
+    let (stdout, stderr, ok) = run_stdin(&[], &format!("{DEEP_RECURSION} local:f(900)"));
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.trim(), "900");
+}

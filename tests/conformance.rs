@@ -2,29 +2,68 @@
 //! plain XQuery) program plus its expected serialized result or
 //! expected error code. Covers surface area that the per-crate unit
 //! tests exercise only indirectly.
+//!
+//! Every case runs in-process under each feature configuration — the
+//! default, each layer switched off alone, sequential (XQueryP) mode,
+//! and the environment's own value — and must give the same
+//! serialization or the same error code under all of them: no layer
+//! may change what a program means.
 
+use xqse_repro::xdm::error::XdmError;
 use xqse_repro::xmlparse::serialize_sequence;
+use xqse_repro::xqeval::Features;
 use xqse_repro::xqse::Xqse;
 
-fn check_ok(src: &str, expected: &str) {
+/// The configurations every case must agree under.
+fn configurations() -> Vec<Features> {
+    let all = Features::default();
+    let mut configs = vec![
+        all,
+        Features { opt: false, ..all },
+        Features { join: false, ..all },
+        Features { batch: false, ..all },
+        Features { graft: false, ..all },
+        all.sequential(),
+    ];
+    let env = Features::from_env();
+    if !configs.contains(&env) {
+        configs.push(env);
+    }
+    configs
+}
+
+fn run_under(src: &str, features: Features) -> Result<String, XdmError> {
     let xqse = Xqse::new();
-    match xqse.run(src) {
-        Ok(seq) => {
-            let got = serialize_sequence(&seq);
-            assert_eq!(got, expected, "program: {src}");
+    xqse.engine().set_features(features);
+    xqse.run(src).map(|seq| serialize_sequence(&seq))
+}
+
+fn check_ok(src: &str, expected: &str) {
+    for features in configurations() {
+        match run_under(src, features) {
+            Ok(got) => assert_eq!(got, expected, "program: {src}
+under {features:?}"),
+            Err(e) => panic!("program failed: {src}
+under {features:?}
+error: {e}"),
         }
-        Err(e) => panic!("program failed: {src}\nerror: {e}"),
     }
 }
 
 fn check_err(src: &str, code_local: &str) {
-    let xqse = Xqse::new();
-    match xqse.run(src) {
-        Ok(seq) => panic!(
-            "expected error {code_local} but got {:?} for {src}",
-            serialize_sequence(&seq)
-        ),
-        Err(e) => assert_eq!(e.code.local, code_local, "program: {src}\nerror: {e}"),
+    for features in configurations() {
+        match run_under(src, features) {
+            Ok(got) => panic!(
+                "expected error {code_local} but got {got:?} for {src}
+under {features:?}"
+            ),
+            Err(e) => assert_eq!(
+                e.code.local, code_local,
+                "program: {src}
+under {features:?}
+error: {e}"
+            ),
+        }
     }
 }
 

@@ -8,6 +8,7 @@ use xqse_repro::aldsp::rel::SqlValue;
 use xqse_repro::aldsp::ws::credit_score;
 use xqse_repro::xdm::sequence::{Item, Sequence};
 use xqse_repro::xmlparse::serialize;
+use xqse_repro::xqeval::Features;
 
 /// Compute what getProfile must return, straight from the raw tables.
 fn oracle_profile(d: &demo::Demo, cid: i64) -> (String, Vec<i64>, Vec<i64>, u32) {
@@ -222,8 +223,7 @@ fn repeated_getprofile_reads_coalesce_ws_calls() {
     let d = demo::build(12, 2, 1).unwrap();
     let eng = d.space.engine();
     // Pin the layer on: CI re-runs this suite under the kill switches.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     eng.reset_opt_stats();
     let reps = 12u64;
     for _ in 0..reps {
@@ -246,12 +246,13 @@ fn getprofile_agrees_with_batching_disabled() {
     // Kill-switch equivalence: the batched/coalesced read must return
     // exactly what the plain per-call path returns.
     let batched = demo::build(9, 3, 2).unwrap();
-    batched.space.engine().set_optimize(true);
-    batched.space.engine().set_batch(true);
+    let engine = batched.space.engine();
+    engine.set_features(Features { opt: true, batch: true, ..engine.features() });
     let g1 = batched.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
 
     let plain = demo::build(9, 3, 2).unwrap();
-    plain.space.engine().set_batch(false);
+    let engine = plain.space.engine();
+    engine.set_features(Features { batch: false, ..engine.features() });
     let g2 = plain.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
 
     assert_eq!(g1.len(), g2.len());
@@ -277,7 +278,7 @@ fn zero_copy_counters_engage_on_getprofile() {
     // Grafting on regardless of XQSE_DISABLE_GRAFT, so this engagement
     // test still holds in check.sh's kill-switch arm (which exists to
     // prove the *copy* semantics, re-checked below, not to veto grafts).
-    engine.set_graft(true);
+    engine.set_features(Features { graft: true, ..engine.features() });
 
     let before = engine.opt_stats();
     let on = d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
@@ -297,11 +298,11 @@ fn zero_copy_counters_engage_on_getprofile() {
     assert!(after.nodes_built > before.nodes_built);
 
     // Kill switch: no grafts, byte-identical output.
-    engine.set_graft(false);
+    engine.set_features(Features { graft: false, ..engine.features() });
     let base = engine.opt_stats();
     let off = d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
     let end = engine.opt_stats();
-    engine.set_graft(true);
+    engine.set_features(Features { graft: true, ..engine.features() });
     assert_eq!(
         end.subtrees_grafted, base.subtrees_grafted,
         "kill switch must not graft"

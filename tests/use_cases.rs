@@ -6,7 +6,7 @@ use xqse_repro::aldsp::rel::{Column, ColumnType, Database, SqlValue, TableSchema
 use xqse_repro::aldsp::service::DataSpace;
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
-use xqse_repro::xqeval::Env;
+use xqse_repro::xqeval::{Env, Features};
 
 /// Evaluate `src` twice through the statement engine and assert the
 /// second evaluation re-executed the cached prepared plan instead of
@@ -14,8 +14,7 @@ use xqse_repro::xqeval::Env;
 fn assert_plan_cache_round_trip(space: &DataSpace, src: &str) {
     let eng = space.engine();
     // Pin the layer on: CI re-runs this suite under the kill switches.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     eng.reset_opt_stats();
     let mut env = Env::new();
     let a = space.xqse().run_with_env(src, &mut env).unwrap();
@@ -407,8 +406,7 @@ fn procedure_write_invalidates_ws_read_through() {
     let eng = space.engine();
     // Pin the batch layer on: CI re-runs this suite under the kill
     // switches, and the read-through cache only engages with it.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     // A non-readonly external procedure standing in for a submission
     // that changes what the service would answer.
     let st = Rc::clone(&state);
