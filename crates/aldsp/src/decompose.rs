@@ -162,7 +162,7 @@ pub fn decompose_update(
                     source: shape.source.clone(),
                     table: shape.table.clone(),
                     row_element: row_element.clone(),
-                    shape_element: shape.element.clone(),
+                    shape_element: shape.element,
                     changed: Vec::new(),
                 });
                 rows.len() - 1
@@ -200,7 +200,7 @@ fn original_field_value(
     let node = row
         .children()
         .into_iter()
-        .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(element))?;
+        .find(|c| c.name().map(|q| q.local).as_deref() == Some(element))?;
     Some(graph.old_value_of(&node).unwrap_or_else(|| node.string_value()))
 }
 
@@ -425,7 +425,7 @@ fn create_rows(
                 row_element
                     .children()
                     .into_iter()
-                    .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(elem))
+                    .find(|c| c.name().map(|q| q.local).as_deref() == Some(elem))
             })
             .map(|n| n.string_value());
         match lex {
@@ -440,7 +440,7 @@ fn create_rows(
             Some(w) => row_element
                 .children()
                 .into_iter()
-                .filter(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(w))
+                .filter(|c| c.name().map(|q| q.local).as_deref() == Some(w))
                 .collect(),
             None => vec![row_element.clone()],
         };
@@ -489,7 +489,7 @@ fn delete_rows(
         let lex = row_element
             .children()
             .into_iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(elem))
+            .find(|c| c.name().map(|q| q.local).as_deref() == Some(elem))
             .map(|n| n.string_value())
             .ok_or_else(|| {
                 XdmError::new(
@@ -508,7 +508,7 @@ fn delete_rows(
             Some(w) => row_element
                 .children()
                 .into_iter()
-                .filter(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(w))
+                .filter(|c| c.name().map(|q| q.local).as_deref() == Some(w))
                 .collect(),
             None => vec![row_element.clone()],
         };

@@ -574,21 +574,12 @@ pub fn introspect_web_service(
     let mut methods = Vec::new();
     for op_name in ws.operation_names() {
         let qname = QName::with_ns(ns.clone(), op_name.clone());
-        let memo_key = {
-            let svc = ws.name.clone();
-            let op = op_name.clone();
-            move |request: &Sequence| {
-                format!("{svc}\u{2}{}", crate::ws::request_fingerprint(&op, request))
-            }
-        };
-
         let features = engine.features_cell();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
-        let key_of = memo_key.clone();
         engine.register_external_function(
-            qname.clone(),
+            qname,
             1,
             Rc::new(move |env: &mut Env, args: Vec<Sequence>| {
                 OptCounters::bump(&counters.ws_requests);
@@ -596,23 +587,25 @@ pub fn introspect_web_service(
                     OptCounters::bump(&counters.ws_issued);
                     return ws2.call(&op2, &args[0]);
                 }
+                // One key per call, shared by the per-evaluation memo
+                // and the cross-call response cache.
+                let key = ws2.request_key(&op2, &args[0]);
                 // Per-evaluation memo: identical requests inside one
                 // FLWOR or `iterate` body short-circuit here without
                 // touching the breaker path.
-                let key = key_of(&args[0]);
                 if let Some(hit) = env.ws_memo.get(&key) {
                     OptCounters::bump(&counters.ws_coalesced);
                     return Ok(hit.clone());
                 }
                 // Cross-call read-through: a previous evaluation may
                 // already hold this exact response.
-                if let Some(hit) = ws2.cached(&op2, &args[0]) {
+                if let Some(hit) = ws2.cached(&key) {
                     OptCounters::bump(&counters.ws_coalesced);
                     env.ws_memo.insert(key, hit.clone());
                     return Ok(hit);
                 }
                 OptCounters::bump(&counters.ws_issued);
-                let resp = ws2.call(&op2, &args[0])?;
+                let resp = ws2.call_keyed(&op2, &args[0], key.clone())?;
                 env.ws_memo.insert(key, resp.clone());
                 Ok(resp)
             }),
@@ -639,31 +632,34 @@ pub fn introspect_web_service(
                 let mut out: Vec<Option<Sequence>> = vec![None; n];
                 let mut miss_idx = Vec::new();
                 let mut miss_reqs = Vec::new();
+                let mut miss_keys = Vec::new();
                 for (i, req) in requests.iter().enumerate() {
-                    let key = memo_key(req);
+                    let key = ws2.request_key(&op2, req);
                     if let Some(hit) = env.ws_memo.get(&key) {
                         OptCounters::bump(&counters.ws_coalesced);
                         out[i] = Some(hit.clone());
-                    } else if let Some(hit) = ws2.cached(&op2, req) {
+                    } else if let Some(hit) = ws2.cached(&key) {
                         OptCounters::bump(&counters.ws_coalesced);
                         env.ws_memo.insert(key, hit.clone());
                         out[i] = Some(hit);
                     } else {
                         miss_idx.push(i);
                         miss_reqs.push(req.clone());
+                        miss_keys.push(key);
                     }
                 }
                 if !miss_reqs.is_empty() {
                     OptCounters::bump(&counters.ws_batches);
-                    let unique = WebService::unique_requests(&op2, &miss_reqs);
+                    let unique =
+                        miss_keys.iter().collect::<std::collections::HashSet<_>>().len();
                     OptCounters::add(&counters.ws_issued, unique as u64);
                     OptCounters::add(
                         &counters.ws_coalesced,
                         (miss_reqs.len() - unique) as u64,
                     );
-                    let resps = ws2.call_many(&op2, &miss_reqs)?;
-                    for (i, resp) in miss_idx.into_iter().zip(resps) {
-                        env.ws_memo.insert(memo_key(&requests[i]), resp.clone());
+                    let resps = ws2.call_many_keyed(&op2, &miss_reqs, &miss_keys)?;
+                    for ((i, key), resp) in miss_idx.into_iter().zip(miss_keys).zip(resps) {
+                        env.ws_memo.insert(key, resp.clone());
                         out[i] = Some(resp);
                     }
                 }

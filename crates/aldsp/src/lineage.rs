@@ -183,7 +183,7 @@ fn try_analyze_flwor(
     };
     let Expr::DirectElement(de) = &**ret else { return None };
     let mut node = ShapeNode {
-        element: de.name.clone(),
+        element: de.name,
         source: source_name,
         table,
         fields: Vec::new(),

@@ -98,7 +98,7 @@ impl DataGraph {
                 .into_iter()
                 .filter(|c| {
                     c.kind() == NodeKind::Element
-                        && c.name().map(|q| q.local.clone()).as_deref()
+                        && c.name().map(|q| q.local).as_deref()
                             == Some(&step.name)
                 })
                 .collect();
@@ -193,7 +193,7 @@ impl DataGraph {
             let name = inst.name().ok_or_else(|| {
                 XdmError::new(ErrorCode::DSP0005, "instance is not an element")
             })?;
-            let entry = NodeHandle::new_element(&arena, name.clone());
+            let entry = NodeHandle::new_element(&arena, name);
             entry.set_attribute(&NodeHandle::new_attribute(
                 &arena,
                 QName::with_prefix_ns("sdo", SDO_NS, "ref"),
@@ -216,7 +216,7 @@ impl DataGraph {
                 chain.reverse();
                 let mut parent = entry.clone();
                 for (depth, q) in chain.iter().enumerate() {
-                    let e = NodeHandle::new_element(&arena, q.clone());
+                    let e = NodeHandle::new_element(&arena, *q);
                     if depth == chain.len() - 1 {
                         e.append_child(&NodeHandle::new_text(&arena, c.old.clone()))?;
                     }
@@ -251,13 +251,13 @@ impl DataGraph {
         let children = datagraph.children();
         let summary = children
             .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some("changeSummary"))
+            .find(|c| c.name().map(|q| q.local).as_deref() == Some("changeSummary"))
             .cloned();
         let instances: Vec<NodeHandle> = children
             .iter()
             .filter(|c| {
                 c.kind() == NodeKind::Element
-                    && c.name().map(|q| q.local.clone()).as_deref()
+                    && c.name().map(|q| q.local).as_deref()
                         != Some("changeSummary")
             })
             .cloned()
@@ -275,7 +275,7 @@ impl DataGraph {
             let ref_attr = entry
                 .attributes()
                 .into_iter()
-                .find(|a| a.name().map(|q| q.local.clone()).as_deref() == Some("ref"))
+                .find(|a| a.name().map(|q| q.local).as_deref() == Some("ref"))
                 .map(|a| a.content().unwrap_or_default())
                 .ok_or_else(|| bad("change-summary entry lacks sdo:ref"))?;
             let idx = ref_attr
@@ -329,7 +329,7 @@ impl DataGraph {
                     };
                     for c in node.children() {
                         if c.kind() == NodeKind::Element
-                            && c.name().map(|q| q.local.clone()).as_deref()
+                            && c.name().map(|q| q.local).as_deref()
                                 == Some(first.as_str())
                         {
                             matches(&c, rest, out);

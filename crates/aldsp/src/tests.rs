@@ -659,3 +659,45 @@ fn rows_served_stale_are_not_cached_past_recovery() {
     assert_eq!(navigated_oids(&d, 2).unwrap(), "3,4,100");
     assert_eq!(selected_oids(&d, 3).unwrap(), "5,6,101");
 }
+
+// ------------------------------------------- web-service request keys
+
+/// Two credit-rating requests whose leaves concatenate to the same text
+/// ("abc") are different requests: neither the cross-call response
+/// cache nor the per-evaluation memo may answer one with the other's
+/// response.
+#[test]
+fn web_service_requests_with_equal_concatenated_text_stay_distinct() {
+    let d = demo::build(1, 1, 1).unwrap();
+    let call = |last: &str, ssn: &str| {
+        format!(
+            "cre3:getCreditRating(<cre2:getCreditRating>\
+               <cre2:lastName>{last}</cre2:lastName><cre2:ssn>{ssn}</cre2:ssn>\
+             </cre2:getCreditRating>)/cre2:value"
+        )
+    };
+    let run = |body: String| -> Vec<String> {
+        let src = format!(
+            "declare namespace cre2 = \"urn:creditrating/types\";\n\
+             declare namespace cre3 = \"ld:ws/CreditRating\";\n\
+             fn:data(({body}))"
+        );
+        let out = d.space.xqse().run(&src).unwrap();
+        out.iter().map(|i| i.string_value()).collect()
+    };
+    let ab_c = crate::ws::credit_score("c", "ab").to_string();
+    let a_bc = crate::ws::credit_score("bc", "a").to_string();
+    assert_ne!(ab_c, a_bc);
+    // Across calls: the second is answered by the response cache's
+    // read-through path if their keys collide.
+    assert_eq!(run(call("ab", "c")), vec![ab_c.clone()]);
+    assert_eq!(run(call("a", "bc")), vec![a_bc.clone()]);
+    // Within one evaluation: the memo.
+    let both = format!("{}, {}", call("x", "yz"), call("xy", "z"));
+    let (xyz_1, xyz_2) = (
+        crate::ws::credit_score("yz", "x").to_string(),
+        crate::ws::credit_score("z", "xy").to_string(),
+    );
+    assert_ne!(xyz_1, xyz_2);
+    assert_eq!(run(both), vec![xyz_1, xyz_2]);
+}

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::node::NodeHandle;
+use xdm::node::{NodeHandle, NodeKind};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 use xqeval::Lru;
@@ -60,7 +60,7 @@ pub struct WebService {
     operations: HashMap<String, WsOperation>,
     order: Vec<String>,
     access: Rc<RefCell<Access>>,
-    /// Bounded (LRU) response store keyed by request fingerprint,
+    /// Bounded (LRU) response store keyed by [`WebService::request_key`],
     /// each entry stamped with the [`WebService::write_epoch`] it was
     /// inserted under. Serves two roles: the stale-read fallback when
     /// the service is down (any epoch — staleness is explicit and
@@ -129,18 +129,17 @@ impl WebService {
         }
     }
 
-    /// A cached response for this exact (operation, request) pair, if
-    /// one is still resident *and* no source write has happened since
-    /// it was stored — the batch layer's normal-path read-through must
-    /// never serve a pre-write response as if it were fresh (entries
-    /// from older epochs remain available to the explicit, counted
-    /// stale-read degradation path only). Refreshes the entry's LRU
-    /// recency on a hit: the read-through path is the reason an entry
-    /// is worth keeping.
-    pub fn cached(&self, name: &str, request: &Sequence) -> Option<Sequence> {
-        let key = request_fingerprint(name, request);
+    /// A cached response for the request with this
+    /// [`WebService::request_key`], if one is still resident *and* no
+    /// source write has happened since it was stored — the batch
+    /// layer's normal-path read-through must never serve a pre-write
+    /// response as if it were fresh (entries from older epochs remain
+    /// available to the explicit, counted stale-read degradation path
+    /// only). Refreshes the entry's LRU recency on a hit: the
+    /// read-through path is the reason an entry is worth keeping.
+    pub fn cached(&self, key: &str) -> Option<Sequence> {
         let epoch = self.write_epoch.get();
-        match self.response_cache.borrow_mut().get(&key) {
+        match self.response_cache.borrow_mut().get(key) {
             Some((e, resp)) if *e == epoch => Some(resp.clone()),
             _ => None,
         }
@@ -207,13 +206,13 @@ impl WebService {
     /// instead and counted in
     /// [`crate::ResilienceStats::stale_reads`].
     pub fn call(&self, name: &str, request: &Sequence) -> XdmResult<Sequence> {
-        let op = self.operations.get(name).ok_or_else(|| {
-            XdmError::new(
-                ErrorCode::DSP0005,
-                format!("web service {} has no operation {name}", self.name),
-            )
-        })?;
-        let key = request_fingerprint(name, request);
+        self.call_keyed(name, request, self.request_key(name, request))
+    }
+
+    /// [`WebService::call`] with the request's
+    /// [`WebService::request_key`] already built by the caller.
+    pub fn call_keyed(&self, name: &str, request: &Sequence, key: String) -> XdmResult<Sequence> {
+        let op = self.operation_or_err(name)?;
         let access = self.access();
         access.run_read(
             &self.name,
@@ -233,7 +232,7 @@ impl WebService {
     /// Invoke an operation once for each request in one coalesced
     /// round trip.
     ///
-    /// Duplicate requests (same [`request_fingerprint`]) are issued
+    /// Duplicate requests (same [`WebService::request_key`]) are issued
     /// only once, in first-occurrence order, and every caller position
     /// receives the shared response. The whole flight runs as a single
     /// resilience transaction ([`Access::run_read_batch`]): one
@@ -243,30 +242,37 @@ impl WebService {
     ///
     /// Returns one response per input request, positionally.
     pub fn call_many(&self, name: &str, requests: &[Sequence]) -> XdmResult<Vec<Sequence>> {
-        let op = self.operations.get(name).ok_or_else(|| {
-            XdmError::new(
-                ErrorCode::DSP0005,
-                format!("web service {} has no operation {name}", self.name),
-            )
-        })?;
+        let keys: Vec<String> = requests.iter().map(|r| self.request_key(name, r)).collect();
+        self.call_many_keyed(name, requests, &keys)
+    }
+
+    /// [`WebService::call_many`] with each request's
+    /// [`WebService::request_key`] already built by the caller
+    /// (`keys[i]` is the key of `requests[i]`).
+    pub fn call_many_keyed(
+        &self,
+        name: &str,
+        requests: &[Sequence],
+        keys: &[String],
+    ) -> XdmResult<Vec<Sequence>> {
+        let op = self.operation_or_err(name)?;
         if requests.is_empty() {
             return Ok(Vec::new());
         }
         // Coalesce duplicates: unique requests keep first-occurrence
         // order; every input position remembers its unique slot.
         let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of_key: HashMap<String, usize> = HashMap::new();
-        let mut slots = Vec::with_capacity(requests.len());
-        let mut keys = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let key = request_fingerprint(name, req);
-            let slot = *slot_of_key.entry(key.clone()).or_insert_with(|| {
-                unique.push(i);
-                keys.push(key);
-                unique.len() - 1
-            });
-            slots.push(slot);
-        }
+        let mut slot_of_key: HashMap<&str, usize> = HashMap::new();
+        let slots: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                *slot_of_key.entry(key).or_insert_with(|| {
+                    unique.push(i);
+                    unique.len() - 1
+                })
+            })
+            .collect();
         let access = self.access();
         let responses = access.run_read_batch(
             &self.name,
@@ -274,19 +280,48 @@ impl WebService {
             unique.len(),
             |u| {
                 let resp = (op.handler)(&requests[unique[u]])?;
-                self.cache_insert(keys[u].clone(), resp.clone());
+                self.cache_insert(keys[unique[u]].clone(), resp.clone());
                 Ok(resp)
             },
-            |u| self.response_cache.borrow().peek(&keys[u]).map(|(_, r)| r.clone()),
+            |u| self.response_cache.borrow().peek(&keys[unique[u]]).map(|(_, r)| r.clone()),
         )?;
         Ok(slots.into_iter().map(|s| responses[s].clone()).collect())
     }
 
-    /// How many *unique* handler invocations a batch of requests
-    /// would need (used by callers to account for coalescing).
-    pub fn unique_requests(name: &str, requests: &[Sequence]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        requests.iter().filter(|r| seen.insert(request_fingerprint(name, r))).count()
+    fn operation_or_err(&self, name: &str) -> XdmResult<&WsOperation> {
+        self.operations.get(name).ok_or_else(|| {
+            XdmError::new(
+                ErrorCode::DSP0005,
+                format!("web service {} has no operation {name}", self.name),
+            )
+        })
+    }
+
+    /// The key of one (operation, request) pair in this service's
+    /// response cache, in the per-evaluation memo and for request
+    /// coalescing in [`WebService::call_many`]. It spells out the
+    /// request's structure — the service and operation names, then
+    /// every element and attribute name and every leaf's text, each
+    /// length-prefixed — so two different requests never share a key
+    /// (the leaves' concatenated text alone would give
+    /// `<lastName>ab</lastName><ssn>c</ssn>` and
+    /// `<lastName>a</lastName><ssn>bc</ssn>` one key). The service
+    /// name makes keys unique across services sharing one memo.
+    pub fn request_key(&self, op: &str, request: &Sequence) -> String {
+        let mut key = String::with_capacity(64);
+        push_field(&mut key, &self.name);
+        push_field(&mut key, op);
+        for item in request.iter() {
+            match item {
+                Item::Node(n) => push_node(&mut key, n),
+                Item::Atomic(a) => {
+                    key.push('a');
+                    push_field(&mut key, a.type_of().local());
+                    push_field(&mut key, &a.string_value());
+                }
+            }
+        }
+        key
     }
 
     /// The paper's credit-rating service (Figures 2/3): takes a
@@ -377,17 +412,46 @@ fn credit_rating_handler(ns2: String) -> WsHandler {
     })
 }
 
-/// A stable key for one (operation, request) pair, used by the
-/// response cache and for request coalescing in [`WebService::call_many`].
-/// String values are enough for the simulator's document-style
-/// requests.
-pub fn request_fingerprint(op: &str, request: &Sequence) -> String {
-    let mut key = String::from(op);
-    for item in request.items() {
-        key.push('\u{1}');
-        key.push_str(&item.string_value());
+/// Append `s` to a request key as `<byte length>:<s>`.
+fn push_field(key: &mut String, s: &str) {
+    use std::fmt::Write;
+    let _ = write!(key, "{}:", s.len());
+    key.push_str(s);
+}
+
+/// Append a node's structure to a request key: a kind tag, its name
+/// (namespace URI and local part), and for an element its attributes
+/// and children in order, closed by `)`.
+fn push_node(key: &mut String, n: &NodeHandle) {
+    let push_name = |key: &mut String, n: &NodeHandle| {
+        if let Some(q) = n.name() {
+            push_field(key, q.ns.as_deref().unwrap_or(""));
+            push_field(key, &q.local);
+        }
+    };
+    match n.kind() {
+        NodeKind::Document | NodeKind::Element => {
+            key.push(if n.kind() == NodeKind::Element { 'e' } else { 'd' });
+            push_name(key, n);
+            n.each_child_where(true, |_, _| true, |a| {
+                key.push('@');
+                push_name(key, &a);
+                push_field(key, &a.content_shared().unwrap_or_default());
+            });
+            n.each_child_where(false, |_, _| true, |c| push_node(key, &c));
+            key.push(')');
+        }
+        kind => {
+            key.push(match kind {
+                NodeKind::Attribute => '@',
+                NodeKind::Text => 't',
+                NodeKind::Comment => 'c',
+                _ => 'p',
+            });
+            push_name(key, n);
+            push_field(key, &n.content_shared().unwrap_or_default());
+        }
     }
-    key
 }
 
 /// Deterministic FICO-range score from SSN + last name.
@@ -499,7 +563,9 @@ mod tests {
         assert_eq!(out[0].items()[0].string_value(), out[2].items()[0].string_value());
         assert_eq!(out[0].items()[0].string_value(), out[3].items()[0].string_value());
         assert_ne!(out[0].items()[0].string_value(), out[1].items()[0].string_value());
-        assert_eq!(WebService::unique_requests("getCreditRating", &batch), 2);
+        let keys: std::collections::HashSet<String> =
+            batch.iter().map(|r| svc.request_key("getCreditRating", r)).collect();
+        assert_eq!(keys.len(), 2);
     }
 
     #[test]
@@ -518,9 +584,10 @@ mod tests {
     fn cached_serves_read_through_hits() {
         let svc = WebService::credit_rating("urn:cr");
         let req = request("3", "C");
-        assert!(svc.cached("getCreditRating", &req).is_none());
+        let key = svc.request_key("getCreditRating", &req);
+        assert!(svc.cached(&key).is_none());
         let fresh = svc.call("getCreditRating", &req).unwrap();
-        let hit = svc.cached("getCreditRating", &req).unwrap();
+        let hit = svc.cached(&key).unwrap();
         assert_eq!(fresh.items()[0].string_value(), hit.items()[0].string_value());
     }
 
@@ -566,14 +633,15 @@ mod tests {
             Rc::new(move |_req| Ok(Sequence::one(Item::string(st.get().to_string())))),
         );
         let req = Sequence::one(Item::string("k"));
+        let key = svc.request_key("val", &req);
         assert_eq!(svc.call("val", &req).unwrap().items()[0].string_value(), "1");
-        assert!(svc.cached("val", &req).is_some(), "read-through warm");
+        assert!(svc.cached(&key).is_some(), "read-through warm");
 
         // The write (reported by the engine's write listeners).
         state.set(2);
         svc.invalidate_read_through();
         assert!(
-            svc.cached("val", &req).is_none(),
+            svc.cached(&key).is_none(),
             "fresh path must not serve the pre-write response"
         );
         assert_eq!(
@@ -581,7 +649,7 @@ mod tests {
             "2",
             "the re-issued call observes the post-write answer"
         );
-        assert!(svc.cached("val", &req).is_some(), "re-stamped at the new epoch");
+        assert!(svc.cached(&key).is_some(), "re-stamped at the new epoch");
 
         // Old-epoch entries still serve the *explicit* degraded path:
         // bump again, then take the service down — the read answers

@@ -55,7 +55,7 @@ fn local(n: &NodeHandle) -> String {
 fn attr(n: &NodeHandle, name: &str) -> Option<String> {
     n.attributes()
         .into_iter()
-        .find(|a| a.name().map(|q| q.local.clone()).as_deref() == Some(name))
+        .find(|a| a.name().map(|q| q.local).as_deref() == Some(name))
         .and_then(|a| a.content())
 }
 

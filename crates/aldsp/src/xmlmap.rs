@@ -46,8 +46,8 @@ fn row_to_xml_named(row_name: &QName, col_names: &[QName], row: &Row) -> NodeHan
         .iter()
         .zip(row)
         .filter(|(_, val)| !val.is_null())
-        .map(|(name, val)| (name.clone(), val.lexical()));
-    NodeHandle::new_record(row_name.clone(), fields)
+        .map(|(name, val)| (*name, val.lexical()));
+    NodeHandle::new_record(*row_name, fields)
 }
 
 /// The first child element of `node` whose local name is `local`

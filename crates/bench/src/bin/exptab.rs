@@ -354,10 +354,13 @@ fn e16_zero_copy(full: bool, reps: usize, r: &Reporter) {
 /// paying simulated web-service wire latency) served directly on one
 /// thread vs through [`aldsp::pool::ServePool`] at 1/2/4/8 workers.
 ///
-/// On this reproduction's single-core reference host the scaling
-/// comes from workers *overlapping* the source waits — the ALDSP
-/// middle-tier regime (PAPER §II) — not from CPU parallelism; see
-/// EXPERIMENTS.md E14 for the methodology note.
+/// The delayed rows' scaling comes from workers *overlapping* the
+/// source waits — the ALDSP middle-tier regime (PAPER §II) — not from
+/// CPU parallelism. The `cpu-pool-1`/`cpu-pool-2` rows serve the same
+/// reads from the undelayed, response-cached source, so only CPU work
+/// is left: their speedup is cross-core scaling (the reference host
+/// has 2 CPUs), which anything the workers share — locks, atomic
+/// counters — holds back. See EXPERIMENTS.md E14 for the methodology.
 fn e14_serve(full: bool, r: &Reporter) {
     use aldsp::pool::{drive_closed_loop, ServePool, ServeSpec};
     use aldsp::ws::WebService;
@@ -439,6 +442,37 @@ fn e14_serve(full: bool, r: &Reporter) {
             format!("{:.1}", pool_qps),
             format!("{:.2}", pool_qps / one_worker_qps.max(1e-9)),
             format!("{:.2}", pool_qps / direct_qps.max(1e-9)),
+        ]);
+    }
+    // CPU-bound rows: no simulated latency, so each pass over the
+    // customers after the first is served from warm caches and the
+    // workers only compute. Enough passes to time well above noise.
+    let cpu_reqs: Vec<_> = (0..32).flat_map(|_| reqs.iter().cloned()).collect();
+    let mut cpu_one_worker_qps = 0.0f64;
+    for workers in [1usize, 2] {
+        let (db1, db2) = (d.db1.clone(), d.db2.clone());
+        let pool = ServePool::start(ServeSpec::new(workers), move |_worker| {
+            demo::assemble(&db1, &db2, WebService::credit_rating(demo::CREDIT_TYPES_NS))
+        });
+        let (replies, elapsed) = drive_closed_loop(&pool, &cpu_reqs, workers * 2);
+        pool.shutdown();
+        assert_eq!(
+            replies[0].result.as_ref().expect("cpu reply 0"),
+            &direct_sample,
+            "undelayed source changes the result"
+        );
+        let pool_qps = qps(replies.len(), elapsed);
+        if workers == 1 {
+            cpu_one_worker_qps = pool_qps;
+        }
+        rows.push(vec![
+            format!("cpu-pool-{workers}"),
+            workers.to_string(),
+            replies.len().to_string(),
+            format!("{:.1}", elapsed.as_secs_f64() * 1e3),
+            format!("{:.1}", pool_qps),
+            format!("{:.2}", pool_qps / cpu_one_worker_qps.max(1e-9)),
+            "-".to_string(),
         ]);
     }
     r.table(

@@ -173,7 +173,7 @@ pub fn exec_procedure(
             }
             None => a,
         };
-        env.bind(p.name.clone(), a);
+        env.bind(p.name, a);
     }
     let out = match exec_block(engine, body, &mut env)? {
         Flow::Return(v) => v,
@@ -219,7 +219,7 @@ fn exec_block_inner(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<
             }
             None => None,
         };
-        env.declare_block_var(decl.var.clone(), init, decl.ty.clone());
+        env.declare_block_var(decl.var, init, decl.ty.clone());
     }
     for stmt in &block.statements {
         match exec_statement(engine, stmt, env)? {
@@ -293,10 +293,10 @@ pub fn exec_statement(
                 // run updates/source calls per item.
                 engine.budget_loop_check()?;
                 env.push_scope();
-                env.bind(var.clone(), Sequence::one(item));
+                env.bind(*var, Sequence::one(item));
                 if let Some(p) = pos {
                     env.bind(
-                        p.clone(),
+                        *p,
                         Sequence::one(xdm::sequence::Item::integer(i as i64 + 1)),
                     );
                 }
@@ -497,7 +497,7 @@ fn exec_catch(
     // identifying the error, its message, and any diagnostic items".
     let provided: [Sequence; 3] = [
         Sequence::one(xdm::sequence::Item::Atomic(
-            xdm::atomic::AtomicValue::QName(e.code.clone()),
+            xdm::atomic::AtomicValue::QName(e.code),
         )),
         Sequence::one(xdm::sequence::Item::string(e.message.clone())),
         e.diagnostics
@@ -506,7 +506,7 @@ fn exec_catch(
             .collect(),
     ];
     for (var, value) in clause.into_vars.iter().zip(provided) {
-        env.bind(var.clone(), value);
+        env.bind(*var, value);
     }
     let flow = exec_block(engine, &clause.body, env);
     env.pop_scope();

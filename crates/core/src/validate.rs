@@ -53,7 +53,7 @@ pub fn validate_module(module: &Module) -> Vec<Diagnostic> {
         if let Some(body) = &p.body {
             let mut scope = Scope::new();
             for param in &p.params {
-                scope.declare_readonly(param.name.clone());
+                scope.declare_readonly(param.name);
             }
             v.check_block(body, &mut scope, 0);
         }
@@ -61,7 +61,7 @@ pub fn validate_module(module: &Module) -> Vec<Diagnostic> {
     for f in &module.prolog.functions {
         if let Some(body) = &f.body {
             let mut bound: HashSet<QName> =
-                f.params.iter().map(|p| p.name.clone()).collect();
+                f.params.iter().map(|p| p.name).collect();
             v.check_expr(body, &mut bound);
         }
     }
@@ -162,13 +162,13 @@ impl<'m> Validator<'m> {
                 .prolog
                 .procedures
                 .iter()
-                .map(|p| ((p.name.clone(), p.params.len()), p.readonly))
+                .map(|p| ((p.name, p.params.len()), p.readonly))
                 .collect(),
             functions: module
                 .prolog
                 .functions
                 .iter()
-                .map(|f| (f.name.clone(), f.params.len()))
+                .map(|f| (f.name, f.params.len()))
                 .collect(),
             _module: module,
         }
@@ -180,7 +180,7 @@ impl<'m> Validator<'m> {
             if let Some(init) = &d.init {
                 self.check_value_statement(init, scope);
             }
-            scope.declare_block(d.var.clone(), d.init.is_some());
+            scope.declare_block(d.var, d.init.is_some());
         }
         for s in &block.statements {
             self.check_statement(s, scope, loop_depth);
@@ -223,9 +223,9 @@ impl<'m> Validator<'m> {
             Statement::Iterate { var, pos, over, body } => {
                 self.check_value_statement(over, scope);
                 scope.push();
-                scope.declare_readonly(var.clone());
+                scope.declare_readonly(*var);
                 if let Some(p) = pos {
-                    scope.declare_readonly(p.clone());
+                    scope.declare_readonly(*p);
                 }
                 self.check_block(body, scope, loop_depth + 1);
                 scope.pop();
@@ -235,7 +235,7 @@ impl<'m> Validator<'m> {
                 for c in catches {
                     scope.push();
                     for v in &c.into_vars {
-                        scope.declare_readonly(v.clone());
+                        scope.declare_readonly(*v);
                     }
                     self.check_block(&c.body, scope, loop_depth);
                     scope.pop();
@@ -323,7 +323,7 @@ impl<'m> Validator<'m> {
     fn check_expr(&mut self, e: &Expr, _bound: &mut HashSet<QName>) {
         walk(e, &mut |x| {
             if let Expr::FunctionCall { name, args } = x {
-                let key = (name.clone(), args.len());
+                let key = (*name, args.len());
                 if !self.functions.contains(&key) {
                     if let Some(readonly) = self.procedures.get(&key) {
                         if !readonly {

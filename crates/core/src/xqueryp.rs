@@ -107,7 +107,7 @@ impl XqueryP {
                 }
                 None => None,
             };
-            env.declare_block_var(decl.var.clone(), init, decl.ty.clone());
+            env.declare_block_var(decl.var, init, decl.ty.clone());
         }
         let mut value = Sequence::empty();
         for stmt in &block.statements {
@@ -173,10 +173,10 @@ impl XqueryP {
                 for (i, item) in binding.into_iter().enumerate() {
                     self.engine.budget_loop_check()?;
                     env.push_scope();
-                    env.bind(var.clone(), Sequence::one(item));
+                    env.bind(*var, Sequence::one(item));
                     if let Some(p) = pos {
                         env.bind(
-                            p.clone(),
+                            *p,
                             Sequence::one(xdm::sequence::Item::integer(i as i64 + 1)),
                         );
                     }
@@ -198,7 +198,7 @@ impl XqueryP {
                             env.push_scope();
                             let vals: [Sequence; 2] = [
                                 Sequence::one(xdm::sequence::Item::Atomic(
-                                    xdm::atomic::AtomicValue::QName(e.code.clone()),
+                                    xdm::atomic::AtomicValue::QName(e.code),
                                 )),
                                 Sequence::one(xdm::sequence::Item::string(
                                     e.message.clone(),
@@ -207,7 +207,7 @@ impl XqueryP {
                             for (var, value) in
                                 clause.into_vars.iter().zip(vals)
                             {
-                                env.bind(var.clone(), value);
+                                env.bind(*var, value);
                             }
                             let out = self.exec_block_value(&clause.body, env);
                             env.pop_scope();

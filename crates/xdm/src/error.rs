@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn user_code_errors_carry_custom_qname() {
         let code = QName::new("PRIMARY_CREATE_FAILURE");
-        let e = XdmError::with_code(code.clone(), "primary create failed");
+        let e = XdmError::with_code(code, "primary create failed");
         assert_eq!(e.code, code);
         assert!(!e.is(ErrorCode::FOER0000));
     }

@@ -1,17 +1,25 @@
 //! Name/string interning and XDM construction counters.
 //!
-//! [`Symbol`] is an interned string: an `Arc<str>` deduplicated through
-//! a process-wide table, so every occurrence of the same name shares
-//! one allocation. Cloning a `Symbol` is a refcount bump and equality
-//! is (almost always) a pointer comparison — exactly the properties the
-//! construction-bound read path needs, where the same element/column
-//! names recur thousands of times per query.
+//! [`Symbol`] is an interned string: a `Copy` handle on a `&'static
+//! str` deduplicated through a process-wide table, so every occurrence
+//! of the same name shares one buffer. Copying a `Symbol` touches no
+//! refcount and equality is a pointer comparison — exactly the
+//! properties the construction-bound read path needs, where the same
+//! element/column names recur thousands of times per query and the
+//! serving pool's workers handle the same symbols concurrently.
 //!
-//! The table is sharded behind plain `std::sync::Mutex`es and the
-//! symbols are `Arc`-backed, so the interner is `Send + Sync`: the
-//! serving pool's engine-per-worker threads share one table (names are
-//! global facts), while the XDM node store itself stays single-threaded
-//! per worker as before.
+//! The table keeps every symbol for the life of the process (it always
+//! did: the table held a reference to every interned string), so the
+//! string is leaked once, on first intern, and shared as `'static`
+//! from then on. The table is sharded behind plain `std::sync::Mutex`es,
+//! so the interner is `Send + Sync`: the serving pool's
+//! engine-per-worker threads share one table (names are global facts),
+//! while the XDM node store itself stays single-threaded per worker.
+//!
+//! **Invariant:** every `Symbol` comes from [`Symbol::intern`] (the
+//! field is private), so two symbols with equal content are the same
+//! pointer and equality never needs to read bytes. Hashing stays
+//! content-based, consistent with `Borrow<str>`.
 //!
 //! This module also hosts the **thread-local construction counters**
 //! (`nodes_built`, `subtrees_grafted`, `deep_copy_nodes_avoided`,
@@ -26,16 +34,16 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-/// An interned, immutable string. Cheap to clone, cheap to compare.
-#[derive(Clone)]
-pub struct Symbol(Arc<str>);
+/// An interned, immutable string. Free to copy, cheap to compare.
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static str);
 
 const SHARDS: usize = 8;
 
-fn table() -> &'static [Mutex<HashSet<Arc<str>>>; SHARDS] {
-    static TABLE: OnceLock<[Mutex<HashSet<Arc<str>>>; SHARDS]> = OnceLock::new();
+fn table() -> &'static [Mutex<HashSet<&'static str>>; SHARDS] {
+    static TABLE: OnceLock<[Mutex<HashSet<&'static str>>; SHARDS]> = OnceLock::new();
     TABLE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashSet::new())))
 }
 
@@ -54,45 +62,44 @@ impl Symbol {
     pub fn intern(s: &str) -> Symbol {
         let shard = &table()[shard_of(s)];
         let mut set = shard.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = set.get(s) {
+        if let Some(&existing) = set.get(s) {
             bump(|c| &c.interned_hits);
-            return Symbol(existing.clone());
+            return Symbol(existing);
         }
-        let arc: Arc<str> = Arc::from(s);
-        set.insert(arc.clone());
-        Symbol(arc)
+        let leaked: &'static str = Box::leak(Box::from(s));
+        set.insert(leaked);
+        Symbol(leaked)
     }
 
     /// The interned string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 }
 
 impl Deref for Symbol {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for Symbol {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Borrow<str> for Symbol {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Self) -> bool {
-        // Interned symbols with equal content share one Arc, so the
-        // pointer test settles the common case without touching bytes.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        // Interned: equal content is the same buffer.
+        std::ptr::eq(self.0, other.0)
     }
 }
 impl Eq for Symbol {}
@@ -111,18 +118,18 @@ impl PartialOrd for Symbol {
 }
 impl Ord for Symbol {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.as_ref().cmp(other.0.as_ref())
+        self.0.cmp(other.0)
     }
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0, f)
+        fmt::Debug::fmt(self.0, f)
     }
 }
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -149,7 +156,7 @@ impl From<String> for Symbol {
 }
 impl From<&Symbol> for Symbol {
     fn from(s: &Symbol) -> Symbol {
-        s.clone()
+        *s
     }
 }
 impl From<Symbol> for String {
@@ -165,32 +172,32 @@ impl From<&Symbol> for String {
 
 impl PartialEq<str> for Symbol {
     fn eq(&self, other: &str) -> bool {
-        self.0.as_ref() == other
+        self.0 == other
     }
 }
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
-        self.0.as_ref() == *other
+        self.0 == *other
     }
 }
 impl PartialEq<String> for Symbol {
     fn eq(&self, other: &String) -> bool {
-        self.0.as_ref() == other.as_str()
+        self.0 == other.as_str()
     }
 }
 impl PartialEq<Symbol> for str {
     fn eq(&self, other: &Symbol) -> bool {
-        self == other.0.as_ref()
+        self == other.0
     }
 }
 impl PartialEq<Symbol> for &str {
     fn eq(&self, other: &Symbol) -> bool {
-        *self == other.0.as_ref()
+        *self == other.0
     }
 }
 impl PartialEq<Symbol> for String {
     fn eq(&self, other: &Symbol) -> bool {
-        self.as_str() == other.0.as_ref()
+        self.as_str() == other.0
     }
 }
 
@@ -293,7 +300,7 @@ mod tests {
         let before = xdm_stats().interned_hits;
         let b = Symbol::intern("intern-test-unique-aaa");
         assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(std::ptr::eq(a.0, b.0));
         assert!(xdm_stats().interned_hits > before);
     }
 
@@ -305,7 +312,7 @@ mod tests {
         assert_eq!(s, "hello".to_string());
         assert_eq!(s.as_str(), "hello");
         assert_ne!(s, "world");
-        let t: String = s.clone().into();
+        let t: String = s.into();
         assert_eq!(t, "hello");
     }
 

@@ -91,6 +91,10 @@ struct GraftCtx {
     sub: SharedArena,
     root: NodeId,
     state: RefCell<GraftState>,
+    /// The entry's index in its host's child list when it was grafted:
+    /// copy-on-write checks this slot first and scans only if an
+    /// insert before the entry has moved it.
+    slot: usize,
 }
 
 impl fmt::Debug for GraftCtx {
@@ -132,15 +136,94 @@ struct GraftLink {
     host_link: Option<Rc<GraftLink>>,
 }
 
+/// The child entries of a document or element. A single entry is kept
+/// inline, so a leaf element such as `<OID>7</OID>` — most of what
+/// Figure 3 builds — allocates no child vector; the list spills to a
+/// vector on its second entry. Reads see one slice either way.
+#[derive(Debug, Clone, Default)]
+enum Children {
+    #[default]
+    Zero,
+    One(ChildEntry),
+    Many(Vec<ChildEntry>),
+}
+
+impl Children {
+    /// An empty list with room for `n` entries: a vector only when more
+    /// than one entry is expected.
+    fn with_capacity(n: usize) -> Children {
+        if n > 1 {
+            Children::Many(Vec::with_capacity(n))
+        } else {
+            Children::Zero
+        }
+    }
+
+    fn push(&mut self, e: ChildEntry) {
+        match self {
+            Children::Many(v) => v.push(e),
+            _ => {
+                *self = match std::mem::take(self) {
+                    Children::One(first) => Children::Many(vec![first, e]),
+                    _ => Children::One(e),
+                }
+            }
+        }
+    }
+
+    fn insert(&mut self, pos: usize, e: ChildEntry) {
+        let mut v = match std::mem::take(self) {
+            Children::Zero => Vec::new(),
+            Children::One(first) => vec![first],
+            Children::Many(v) => v,
+        };
+        v.insert(pos, e);
+        *self = Children::Many(v);
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&ChildEntry) -> bool) {
+        match self {
+            Children::Zero => {}
+            Children::One(e) => {
+                if !keep(e) {
+                    *self = Children::Zero;
+                }
+            }
+            Children::Many(v) => v.retain(keep),
+        }
+    }
+}
+
+impl std::ops::Deref for Children {
+    type Target = [ChildEntry];
+    fn deref(&self) -> &[ChildEntry] {
+        match self {
+            Children::Zero => &[],
+            Children::One(e) => std::slice::from_ref(e),
+            Children::Many(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Children {
+    fn deref_mut(&mut self) -> &mut [ChildEntry] {
+        match self {
+            Children::Zero => &mut [],
+            Children::One(e) => std::slice::from_mut(e),
+            Children::Many(v) => v,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum NodeBody {
     Document {
-        children: Vec<ChildEntry>,
+        children: Children,
     },
     Element {
         name: QName,
         attrs: Vec<NodeId>,
-        children: Vec<ChildEntry>,
+        children: Children,
         /// Namespace declarations written on this element
         /// (prefix → URI; empty prefix = default namespace).
         ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
@@ -275,6 +358,32 @@ impl NodeArena {
             self.data_mut(child).parent = Some(parent);
         }
     }
+
+    /// Append `text` to `parent`'s last child if that is a text node
+    /// (XDM has no adjacent text siblings), returning its id; `None`
+    /// when the last child is not text. Only elements are ever
+    /// grafted, so a grafted last entry is never text.
+    fn merge_text(&mut self, parent: NodeId, text: &str) -> Option<NodeId> {
+        let last = match &self.data(parent).body {
+            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
+                match children.last() {
+                    Some(ChildEntry::Local(id)) => *id,
+                    _ => return None,
+                }
+            }
+            _ => return None,
+        };
+        let NodeBody::Text { content } = &mut self.data_mut(last).body else {
+            return None;
+        };
+        if !text.is_empty() {
+            let mut merged = String::with_capacity(content.len() + text.len());
+            merged.push_str(content);
+            merged.push_str(text);
+            *content = merged.into();
+        }
+        Some(last)
+    }
 }
 
 impl Default for NodeArena {
@@ -308,8 +417,8 @@ fn sized(nodes: &[NodeData], sizes: &mut [u32], id: NodeId) -> u64 {
         return u64::from(sizes[idx]);
     }
     let (attrs, children) = match &nodes[idx].body {
-        NodeBody::Document { children } => (0, children.as_slice()),
-        NodeBody::Element { attrs, children, .. } => (attrs.len() as u64, children.as_slice()),
+        NodeBody::Document { children } => (0, &children[..]),
+        NodeBody::Element { attrs, children, .. } => (attrs.len() as u64, &children[..]),
         _ => (0, &[][..]),
     };
     let mut total = 1 + attrs;
@@ -442,7 +551,7 @@ impl NodeHandle {
         let arena = NodeArena::new();
         let id = arena
             .borrow_mut()
-            .alloc(None, NodeBody::Document { children: Vec::new() });
+            .alloc(None, NodeBody::Document { children: Children::Zero });
         NodeHandle { arena, id, link: None }
     }
 
@@ -463,7 +572,7 @@ impl NodeHandle {
             NodeBody::Element {
                 name,
                 attrs: Vec::new(),
-                children: Vec::with_capacity(children),
+                children: Children::with_capacity(children),
                 ns_decls: Vec::new(),
             },
         );
@@ -482,7 +591,7 @@ impl NodeHandle {
         let element = |name, children| NodeBody::Element {
             name,
             attrs: Vec::new(),
-            children: Vec::with_capacity(children),
+            children: Children::with_capacity(children),
             ns_decls: Vec::new(),
         };
         let id = {
@@ -596,7 +705,7 @@ impl NodeHandle {
         }
         self.with(|d| match &d.body {
             NodeBody::Element { name, .. } | NodeBody::Attribute { name, .. } => {
-                Some(name.clone())
+                Some(*name)
             }
             NodeBody::Pi { target, .. } => Some(QName::new(target.as_str())),
             _ => None,
@@ -653,7 +762,7 @@ impl NodeHandle {
     fn entries(&self) -> Vec<ChildEntry> {
         self.with(|d| match &d.body {
             NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.clone()
+                children.to_vec()
             }
             _ => Vec::new(),
         })
@@ -705,7 +814,7 @@ impl NodeHandle {
                 }
             }
             NodeBody::Document { children } | NodeBody::Element { children, .. } if !attributes => {
-                for e in children {
+                for e in children.iter() {
                     let hit = match e {
                         ChildEntry::Local(id) => arena.data(*id).body.test(&mut keep),
                         ChildEntry::Graft(ctx) => {
@@ -1064,21 +1173,23 @@ impl NodeHandle {
         sub.arena.borrow_mut().sealed = true;
         let avoided = subtree_size(&sub.arena, sub.id);
         count_graft(avoided);
-        let ctx = Rc::new(GraftCtx {
-            sub: sub.arena.clone(),
-            root: sub.id,
-            state: RefCell::new(GraftState::Live),
-        });
-        {
+        let ctx = {
             let mut arena = me.arena.borrow_mut();
             match &mut arena.data_mut(me.id).body {
                 NodeBody::Document { children }
                 | NodeBody::Element { children, .. } => {
-                    children.push(ChildEntry::Graft(ctx.clone()))
+                    let ctx = Rc::new(GraftCtx {
+                        sub: sub.arena.clone(),
+                        root: sub.id,
+                        state: RefCell::new(GraftState::Live),
+                        slot: children.len(),
+                    });
+                    children.push(ChildEntry::Graft(ctx.clone()));
+                    ctx
                 }
                 _ => unreachable!("kind checked above"),
             }
-        }
+        };
         let link = Rc::new(GraftLink {
             ctx,
             host_arena: me.arena.clone(),
@@ -1122,17 +1233,17 @@ fn materialize(ctx: &Rc<GraftCtx>, host_arena: &SharedArena, host_id: NodeId) {
     {
         let mut host = host_arena.borrow_mut();
         host.data_mut(new_root).parent = Some(host_id);
-        match &mut host.data_mut(host_id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                for e in children.iter_mut() {
-                    let replace = matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, ctx));
-                    if replace {
-                        *e = ChildEntry::Local(new_root);
-                        break;
-                    }
-                }
+        if let NodeBody::Document { children } | NodeBody::Element { children, .. } =
+            &mut host.data_mut(host_id).body
+        {
+            let is_ours = |e: &ChildEntry| matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, ctx));
+            let slot = match children.get(ctx.slot) {
+                Some(e) if is_ours(e) => Some(ctx.slot),
+                _ => children.iter().position(is_ours),
+            };
+            if let Some(i) = slot {
+                children[i] = ChildEntry::Local(new_root);
             }
-            _ => {}
         }
     }
     *ctx.state.borrow_mut() = GraftState::Materialized { map };
@@ -1158,7 +1269,7 @@ fn copy_subtree_recording(
                 NodeBody::Element {
                     name,
                     attrs: Vec::new(),
-                    children: Vec::new(),
+                    children: Children::Zero,
                     ns_decls,
                 },
             );
@@ -1171,15 +1282,15 @@ fn copy_subtree_recording(
                     attrs.push(na);
                 }
             }
-            copy_entries(src, children, target, nid, map);
+            copy_entries(src, &children, target, nid, map);
             nid
         }
         NodeBody::Document { children } => {
             let nid = target
                 .borrow_mut()
-                .alloc(None, NodeBody::Document { children: Vec::new() });
+                .alloc(None, NodeBody::Document { children: Children::Zero });
             map.insert((stamp, id), nid);
-            copy_entries(src, children, target, nid, map);
+            copy_entries(src, &children, target, nid, map);
             nid
         }
         leaf => {
@@ -1192,14 +1303,14 @@ fn copy_subtree_recording(
 
 fn copy_entries(
     src: &SharedArena,
-    entries: Vec<ChildEntry>,
+    entries: &[ChildEntry],
     target: &SharedArena,
     parent: NodeId,
     map: &mut HashMap<(u64, NodeId), NodeId>,
 ) {
     for e in entries {
         let nc = match e {
-            ChildEntry::Local(c) => copy_subtree_recording(src, c, target, map),
+            ChildEntry::Local(c) => copy_subtree_recording(src, *c, target, map),
             ChildEntry::Graft(ctx) => {
                 copy_subtree_recording(&ctx.sub, ctx.root, target, map)
             }
@@ -1239,7 +1350,7 @@ impl NodeHandle {
     pub fn deep_copy_into(&self, target: &SharedArena) -> NodeHandle {
         match self.kind() {
             NodeKind::Document => {
-                let body = NodeBody::Document { children: Vec::new() };
+                let body = NodeBody::Document { children: Children::Zero };
                 let id = target.borrow_mut().alloc(None, body);
                 let copy = NodeHandle::new(target.clone(), id);
                 for c in self.children() {
@@ -1254,7 +1365,7 @@ impl NodeHandle {
                 let body = NodeBody::Element {
                     name,
                     attrs: Vec::new(),
-                    children: Vec::new(),
+                    children: Children::Zero,
                     ns_decls,
                 };
                 let id = target.borrow_mut().alloc(None, body);
@@ -1344,27 +1455,8 @@ impl NodeHandle {
             _ => None,
         };
         if let Some(text) = text {
-            // Merge into a text last child, found under one borrow.
-            // Only elements are ever grafted, so a grafted last entry
-            // is never text.
-            let mut arena = me.arena.borrow_mut();
-            let last = match &arena.data(me.id).body {
-                NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                    match children.last() {
-                        Some(ChildEntry::Local(id)) => Some(*id),
-                        _ => None,
-                    }
-                }
-                _ => None,
-            };
-            if let Some(last) = last {
-                if let NodeBody::Text { content } = &mut arena.data_mut(last).body {
-                    let mut merged = String::with_capacity(content.len() + text.len());
-                    merged.push_str(content);
-                    merged.push_str(&text);
-                    *content = merged.into();
-                    return Ok(NodeHandle::new(me.arena.clone(), last));
-                }
+            if let Some(last) = me.arena.borrow_mut().merge_text(me.id, &text) {
+                return Ok(NodeHandle::new(me.arena.clone(), last));
             }
             if text.is_empty() {
                 return Ok(child);
@@ -1372,6 +1464,34 @@ impl NodeHandle {
         }
         me.push_child_raw(&child);
         Ok(child)
+    }
+
+    /// Append text to a constructor's own fresh element or document
+    /// under one arena borrow: merged into a text last child, else a
+    /// new text node; empty text adds nothing. What
+    /// [`NodeHandle::append_child`] does for a text node, without its
+    /// graft resolution, kind checks and import, which a node the
+    /// constructor has just made in its own unsealed arena passes.
+    pub fn push_text(&self, text: impl Into<Rc<str>>) {
+        debug_assert!(self.link.is_none() && !self.is_sealed());
+        let text = text.into();
+        let mut arena = self.arena.borrow_mut();
+        if arena.merge_text(self.id, &text).is_none() && !text.is_empty() {
+            let t = arena.alloc(None, NodeBody::Text { content: text });
+            arena.push_local(self.id, t);
+        }
+    }
+
+    /// Attach `child` — a fresh, parentless, non-text, non-attribute
+    /// node the constructor made in this element's own arena — as the
+    /// last child, under one arena borrow. See
+    /// [`NodeHandle::push_text`] for why the checks of
+    /// [`NodeHandle::append_child`] can be skipped.
+    pub fn push_fresh_child(&self, child: &NodeHandle) {
+        debug_assert!(self.same_arena(child) && self.link.is_none() && child.link.is_none());
+        debug_assert!(child.parent().is_none());
+        debug_assert!(!matches!(child.kind(), NodeKind::Text | NodeKind::Attribute));
+        self.push_child_raw(child);
     }
 
     /// Set or add an attribute on an element.
@@ -1405,42 +1525,88 @@ impl NodeHandle {
     /// copying; detaching *inside* a grafted region copies-on-write
     /// first.
     pub fn detach(&self) {
-        let me = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
-        if let Some(link) = &me.link {
-            if me.id == link.ctx.root && Rc::ptr_eq(&me.arena, &link.ctx.sub) {
-                {
-                    let mut host = link.host_arena.borrow_mut();
-                    match &mut host.data_mut(link.host_id).body {
-                        NodeBody::Document { children }
-                        | NodeBody::Element { children, .. } => children.retain(|e| {
-                            !matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, &link.ctx))
-                        }),
-                        _ => {}
-                    }
+        NodeHandle::detach_all(std::slice::from_ref(self));
+    }
+
+    /// [`NodeHandle::detach`] every node in `nodes` — a pending update
+    /// list's deletes — filtering each parent's child list once however
+    /// many of its children go, so deleting every child of one element
+    /// is linear rather than quadratic.
+    pub fn detach_all(nodes: &[NodeHandle]) {
+        // Copy-on-write first: a view inside a live grafted region
+        // becomes a local node of the host.
+        let targets: Vec<NodeHandle> = nodes
+            .iter()
+            .map(|n| {
+                let me = n.resolve_if_moved().unwrap_or_else(|| n.clone());
+                if me.link.is_some() && !me.is_graft_root() {
+                    me.ensure_local()
+                } else {
+                    me
                 }
-                *link.ctx.state.borrow_mut() = GraftState::Detached;
-                return;
-            }
-            me.ensure_local().detach();
-            return;
+            })
+            .collect();
+        // Group the targets by parent: the local ids and graft uses to
+        // drop from each list. Unlink each on its own side — a local
+        // node forgets its parent, a graft is marked detached.
+        #[derive(Default)]
+        struct Removals {
+            locals: Vec<NodeId>,
+            grafts: Vec<*const GraftCtx>,
         }
-        let parent = me.with(|d| d.parent);
-        let Some(pid) = parent else { return };
-        let mut arena = me.arena.borrow_mut();
-        match &mut arena.data_mut(pid).body {
-            NodeBody::Document { children } => {
-                children.retain(|e| !matches!(e, ChildEntry::Local(c) if *c == me.id))
+        let mut groups: Vec<(SharedArena, NodeId, Removals)> = Vec::new();
+        let mut group_of: HashMap<(*const RefCell<NodeArena>, NodeId), usize> = HashMap::new();
+        for t in &targets {
+            // A later copy-on-write above may have moved a graft root.
+            let t = t.resolve_if_moved().unwrap_or_else(|| t.clone());
+            debug_assert!(t.link.is_none() || t.is_graft_root());
+            let (arena, parent) = match &t.link {
+                Some(link) => {
+                    *link.ctx.state.borrow_mut() = GraftState::Detached;
+                    (&link.host_arena, link.host_id)
+                }
+                None => match t.arena.borrow_mut().data_mut(t.id).parent.take() {
+                    Some(p) => (&t.arena, p),
+                    None => continue,
+                },
+            };
+            let g = *group_of.entry((Rc::as_ptr(arena), parent)).or_insert_with(|| {
+                groups.push((arena.clone(), parent, Removals::default()));
+                groups.len() - 1
+            });
+            match &t.link {
+                Some(link) => groups[g].2.grafts.push(Rc::as_ptr(&link.ctx)),
+                None => groups[g].2.locals.push(t.id),
             }
-            NodeBody::Element { children, attrs, .. } => {
-                children.retain(|e| !matches!(e, ChildEntry::Local(c) if *c == me.id));
-                attrs.retain(|a| *a != me.id);
-            }
-            _ => {}
         }
-        arena.data_mut(me.id).parent = None;
+        // Then one pass per parent, testing each entry against the
+        // sorted removals (no hashing or record reads per sibling).
+        for (arena, parent, mut r) in groups {
+            r.locals.sort_unstable();
+            r.grafts.sort_unstable();
+            let local_gone = |id: &NodeId| r.locals.binary_search(id).is_ok();
+            let gone = |e: &ChildEntry| match e {
+                ChildEntry::Local(c) => local_gone(c),
+                ChildEntry::Graft(ctx) => r.grafts.binary_search(&Rc::as_ptr(ctx)).is_ok(),
+            };
+            match &mut arena.borrow_mut().data_mut(parent).body {
+                NodeBody::Document { children } => children.retain(|e| !gone(e)),
+                NodeBody::Element { children, attrs, .. } => {
+                    children.retain(|e| !gone(e));
+                    attrs.retain(|a| !local_gone(a));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Whether this graft view is the root of a subtree grafted into a
+    /// local host node (not into a region that is itself grafted).
+    fn is_graft_root(&self) -> bool {
+        matches!(&self.link, Some(link)
+            if self.id == link.ctx.root
+                && Rc::ptr_eq(&self.arena, &link.ctx.sub)
+                && link.host_link.is_none())
     }
 
     /// Insert `new` immediately before this node among its siblings
@@ -1545,9 +1711,7 @@ impl NodeHandle {
             }
             NodeKind::Element => {
                 let me = self.ensure_local();
-                for c in me.children() {
-                    c.detach();
-                }
+                NodeHandle::detach_all(&me.children());
                 if !value.is_empty() {
                     let t = NodeHandle::new_text(&me.arena, value);
                     me.push_child_raw(&t);
@@ -1873,7 +2037,7 @@ mod tests {
         let anc: Vec<_> = z
             .ancestors()
             .iter()
-            .map(|n| n.name().unwrap().local.clone())
+            .map(|n| n.name().unwrap().local)
             .collect();
         assert_eq!(anc, vec!["y", "root"]);
         assert_eq!(z.root(), root);

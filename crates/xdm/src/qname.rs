@@ -5,9 +5,9 @@
 //! name — namespace URI and local part — as required by XQuery; the
 //! prefix is retained purely for serialization fidelity.
 //!
-//! All three parts are interned [`Symbol`]s: cloning a QName is three
-//! refcount bumps and comparing two QNames is (in the interned common
-//! case) two pointer comparisons. The constructors accept anything
+//! All three parts are interned [`Symbol`]s, so a QName is `Copy`
+//! (no refcounts to touch) and comparing two QNames is two pointer
+//! comparisons. The constructors accept anything
 //! `Into<Symbol>` — `&str`, `String`, or an existing `Symbol` — so call
 //! sites read as before.
 
@@ -24,7 +24,7 @@ pub const FN_NS: &str = "http://www.w3.org/2005/xpath-functions";
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 
 /// An expanded qualified name.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct QName {
     /// Lexical prefix, if any (not part of identity).
     pub prefix: Option<Symbol>,

@@ -18,7 +18,7 @@
 mod parser;
 mod serializer;
 
-pub use parser::{parse, parse_fragment, ParseOptions};
+pub use parser::{parse, parse_fragment, ParseOptions, MAX_ELEMENT_DEPTH};
 pub use serializer::{
     serialize, serialize_pretty, serialize_sequence, serialize_sequence_stream,
     IncrementalSerializer,

@@ -29,11 +29,22 @@ pub fn parse_fragment(input: &str, options: ParseOptions) -> XdmResult<NodeHandl
     Parser::new(input, options).parse_document()
 }
 
+/// How deeply elements may nest in a document (libxml2's default
+/// limit too). The parser recurses once per element level, so a
+/// deeper document is rejected as not well-formed (`err:FORG0001`,
+/// like any other parse error) rather than overflowing the stack. An
+/// unoptimized build's parse takes about 9 KB of stack per level, so
+/// at this depth it fits the default 8 MB main-thread stack with room
+/// to spare (it overflowed at about 900 levels).
+pub const MAX_ELEMENT_DEPTH: usize = 256;
+
 struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     options: ParseOptions,
+    /// Open elements around the current position.
+    depth: usize,
 }
 
 fn err(msg: impl Into<String>, pos: usize) -> XdmError {
@@ -79,7 +90,7 @@ impl NsScope {
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str, options: ParseOptions) -> Parser<'a> {
-        Parser { input, bytes: input.as_bytes(), pos: 0, options }
+        Parser { input, bytes: input.as_bytes(), pos: 0, options, depth: 0 }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -202,6 +213,12 @@ impl<'a> Parser<'a> {
 
     /// Parse one element (the `<` is current) and attach it to parent.
     fn parse_element(&mut self, parent: &NodeHandle, ns: &mut NsScope) -> XdmResult<NodeHandle> {
+        if self.depth >= MAX_ELEMENT_DEPTH {
+            return Err(err(
+                format!("elements nested deeper than {MAX_ELEMENT_DEPTH} levels"),
+                self.pos,
+            ));
+        }
         self.expect("<")?;
         let name = self.parse_name()?.to_string();
         // Attributes & namespace declarations.
@@ -254,7 +271,10 @@ impl<'a> Parser<'a> {
             elem.set_attribute(&NodeHandle::new_attribute(elem.arena(), aq, aval))?;
         }
         if !self_closing {
-            self.parse_content(&elem, ns)?;
+            self.depth += 1;
+            let content = self.parse_content(&elem, ns);
+            self.depth -= 1;
+            content?;
             // parse_content consumed "</"
             let close = self.parse_name()?;
             if close != name {
@@ -598,5 +618,37 @@ mod tests {
         let dg = root_of(&doc);
         assert_eq!(dg.name().unwrap().local, "datagraph");
         assert_eq!(dg.name().unwrap().ns.as_deref(), Some("commonj.sdo"));
+    }
+
+    /// Parse on a thread with the default 8 MB main-thread stack, which
+    /// the depth limit is sized for; an error comes back as its
+    /// message, with whether it is `err:FORG0001`.
+    fn parse_on_main_sized_stack(src: String) -> Result<(), (bool, String)> {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || {
+                parse(&src).map(drop).map_err(|e| (e.is(ErrorCode::FORG0001), e.message))
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn element_depth_is_bounded_at_max_element_depth() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert_eq!(parse_on_main_sized_stack(nested(MAX_ELEMENT_DEPTH)), Ok(()));
+        for n in [MAX_ELEMENT_DEPTH + 1, 200_000] {
+            let (is_forg0001, message) = parse_on_main_sized_stack(nested(n)).unwrap_err();
+            assert!(is_forg0001, "{message}");
+            assert!(message.contains("nested deeper than"), "{message}");
+        }
+        // A self-closing element one level too deep is refused as well.
+        let leaf = format!(
+            "{}<b/>{}",
+            "<a>".repeat(MAX_ELEMENT_DEPTH),
+            "</a>".repeat(MAX_ELEMENT_DEPTH)
+        );
+        assert!(parse_on_main_sized_stack(leaf).is_err());
     }
 }

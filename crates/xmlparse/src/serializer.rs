@@ -169,11 +169,11 @@ fn write_node(
             // Namespace declarations recorded on this element.
             let mut local_declared: Vec<(xdm::Symbol, xdm::Symbol)> = Vec::new();
             for (p, u) in node.ns_decls() {
-                let key = (p.clone(), u.clone());
+                let key = (p, u);
                 if declared.contains(&key) {
                     continue;
                 }
-                local_declared.push(key.clone());
+                local_declared.push(key);
                 declared.insert(key);
                 if p.is_empty() {
                     out.push_str(&format!(" xmlns=\"{}\"", escape_attr(&u)));
@@ -185,10 +185,10 @@ fn write_node(
             // it is namespaced but nothing declares it (constructed
             // nodes from query land here).
             if let (Some(ns), maybe_prefix) = (&name.ns, &name.prefix) {
-                let p = maybe_prefix.clone().unwrap_or_default();
-                let key = (p.clone(), ns.clone());
+                let p = (*maybe_prefix).unwrap_or_default();
+                let key = (p, *ns);
                 if !declared.contains(&key) {
-                    local_declared.push(key.clone());
+                    local_declared.push(key);
                     declared.insert(key);
                     if p.is_empty() {
                         out.push_str(&format!(" xmlns=\"{}\"", escape_attr(ns)));
@@ -201,9 +201,9 @@ fn write_node(
                 let aname = a.name().expect("attribute has name");
                 // Synthesize prefixed-attribute namespace declarations.
                 if let (Some(ns), Some(p)) = (&aname.ns, &aname.prefix) {
-                    let key = (p.clone(), ns.clone());
+                    let key = (*p, *ns);
                     if !declared.contains(&key) {
-                        local_declared.push(key.clone());
+                        local_declared.push(key);
                         declared.insert(key);
                         out.push_str(&format!(" xmlns:{}=\"{}\"", p, escape_attr(ns)));
                     }

@@ -643,7 +643,7 @@ impl Engine {
 
     /// The batch entry point of a function, if it is batchable.
     pub fn batchable(&self, name: &QName, arity: usize) -> Option<BatchFn> {
-        self.inner.batchables.borrow().get(&(name.clone(), arity)).cloned()
+        self.inner.batchables.borrow().get(&(*name, arity)).cloned()
     }
 
     /// Bind a global variable (external variables, ALDSP parameters).
@@ -866,12 +866,12 @@ impl Engine {
 
     /// Look up a function by expanded name and arity.
     pub fn function(&self, name: &QName, arity: usize) -> Option<FunctionKind> {
-        self.inner.functions.borrow().get(&(name.clone(), arity)).cloned()
+        self.inner.functions.borrow().get(&(*name, arity)).cloned()
     }
 
     /// Look up a procedure by expanded name and arity.
     pub fn procedure(&self, name: &QName, arity: usize) -> Option<ProcKind> {
-        self.inner.procedures.borrow().get(&(name.clone(), arity)).cloned()
+        self.inner.procedures.borrow().get(&(*name, arity)).cloned()
     }
 
     /// Parse a module and register its prolog declarations. Global
@@ -886,7 +886,7 @@ impl Engine {
     /// Register a pre-parsed module's prolog.
     pub fn load_prolog(&self, module: &Module) -> XdmResult<()> {
         for f in &module.prolog.functions {
-            let key = (f.name.clone(), f.params.len());
+            let key = (f.name, f.params.len());
             if f.body.is_none() {
                 // `external`: the host must have registered it
                 // already; keep an existing registration.
@@ -907,7 +907,7 @@ impl Engine {
                 .insert(key, FunctionKind::User(Rc::new(f.clone())));
         }
         for p in &module.prolog.procedures {
-            let key = (p.name.clone(), p.params.len());
+            let key = (p.name, p.params.len());
             if p.body.is_none() {
                 if self.inner.procedures.borrow().contains_key(&key) {
                     continue;
@@ -934,7 +934,7 @@ impl Engine {
                     if let Some(ty) = &v.ty {
                         ty.check(&value, &format!("declare variable ${}", v.name))?;
                     }
-                    self.inner.globals.borrow_mut().insert(v.name.clone(), value);
+                    self.inner.globals.borrow_mut().insert(v.name, value);
                 }
                 None => {
                     if !self.inner.globals.borrow().contains_key(&v.name) {
@@ -999,7 +999,7 @@ impl Engine {
                 continue;
             }
             if let Some(val) = self.inner.globals.borrow().get(&v.name) {
-                globals.push((v.name.clone(), val.clone()));
+                globals.push((v.name, val.clone()));
             }
         }
         let (folded_body, resolved) = if analyze {
@@ -1031,7 +1031,7 @@ impl Engine {
         for f in &pq.module.prolog.functions {
             if f.body.is_some() {
                 self.inner.functions.borrow_mut().insert(
-                    (f.name.clone(), f.params.len()),
+                    (f.name, f.params.len()),
                     FunctionKind::User(Rc::new(f.clone())),
                 );
             }
@@ -1039,13 +1039,13 @@ impl Engine {
         for p in &pq.module.prolog.procedures {
             if p.body.is_some() {
                 self.inner.procedures.borrow_mut().insert(
-                    (p.name.clone(), p.params.len()),
+                    (p.name, p.params.len()),
                     ProcKind::User(Rc::new(p.clone())),
                 );
             }
         }
         for (name, val) in &pq.globals {
-            self.inner.globals.borrow_mut().insert(name.clone(), val.clone());
+            self.inner.globals.borrow_mut().insert(*name, val.clone());
         }
     }
 

@@ -409,7 +409,7 @@ impl<'e> Evaluator<'e> {
                     if matches {
                         env.push_scope();
                         if let Some(var) = &case.var {
-                            env.bind(var.clone(), v.clone());
+                            env.bind(*var, v.clone());
                         }
                         let out = self.eval(&case.body, env);
                         env.pop_scope();
@@ -620,7 +620,7 @@ impl<'e> Evaluator<'e> {
                             ));
                         };
                         let copy = n.deep_copy();
-                        env.bind(var.clone(), Sequence::one(Item::Node(copy)));
+                        env.bind(*var, Sequence::one(Item::Node(copy)));
                     }
                     // Open a nested PUL for the modify clause, apply at
                     // the end of the clause (transform snapshot).
@@ -958,7 +958,7 @@ impl<'e> Evaluator<'e> {
                     let mut i = 0usize;
                     while let Some(item) = seq.try_item(i)? {
                         env.push_scope();
-                        env.bind(var.clone(), Sequence::one(item));
+                        env.bind(*var, Sequence::one(item));
                         let r = walk(this, rest, satisfies, env, every);
                         env.pop_scope();
                         let r = r?;
@@ -1409,7 +1409,7 @@ impl<'e> Evaluator<'e> {
                         .convert(a, &format!("parameter ${} of {}", p.name, decl.name))?,
                     None => a,
                 };
-                env.bind(p.name.clone(), a);
+                env.bind(p.name, a);
             }
             // Function bodies see no outer focus.
             let saved_focus = env.focus.take();
@@ -1454,7 +1454,7 @@ impl<'e> Evaluator<'e> {
         what: &str,
     ) -> XdmResult<QName> {
         match name {
-            NameExpr::Fixed(q) => Ok(q.clone()),
+            NameExpr::Fixed(q) => Ok(*q),
             NameExpr::Computed(e) => {
                 let v = self.eval(e, env)?;
                 match one_atomic(&v, what)? {
@@ -1481,7 +1481,7 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<NodeHandle> {
         let elem =
-            NodeHandle::new_element_with_capacity(arena, de.name.clone(), de.content.len());
+            NodeHandle::new_element_with_capacity(arena, de.name, de.content.len());
         for (p, u) in &de.ns_decls {
             elem.add_ns_decl(p.clone(), u.clone());
         }
@@ -1496,26 +1496,27 @@ impl<'e> Evaluator<'e> {
                     }
                 }
             }
-            elem.set_attribute(&NodeHandle::new_attribute(arena, name.clone(), value))?;
+            elem.set_attribute(&NodeHandle::new_attribute(arena, *name, value))?;
         }
+        // Literal content and nested direct elements are fresh nodes of
+        // this constructor's own arena: they attach without the checks
+        // `append_child` makes for arbitrary nodes.
         for c in &de.content {
             match c {
-                DirectContent::Text(t) => {
-                    elem.append_child(&NodeHandle::new_text(arena, t.as_str()))?;
-                }
+                DirectContent::Text(t) => elem.push_text(t.as_str()),
                 DirectContent::Comment(t) => {
-                    elem.append_child(&NodeHandle::new_comment(arena, t.as_str()))?;
+                    elem.push_fresh_child(&NodeHandle::new_comment(arena, t.as_str()));
                 }
                 DirectContent::Pi(target, data) => {
-                    elem.append_child(&NodeHandle::new_pi(
+                    elem.push_fresh_child(&NodeHandle::new_pi(
                         arena,
                         target.clone(),
                         data.as_str(),
-                    ))?;
+                    ));
                 }
                 DirectContent::Element(child) => {
                     let c = self.build_direct_element(child, arena, env)?;
-                    elem.append_child(&c)?;
+                    elem.push_fresh_child(&c);
                 }
                 DirectContent::Expr(e) => {
                     let v = self.eval(e, env)?;
@@ -2124,12 +2125,12 @@ impl TextRun {
         }
     }
 
-    /// End the run into `parent` as one text node.
-    fn flush(&mut self, parent: &NodeHandle) -> XdmResult<()> {
+    /// End the run into `parent`, a constructor's own fresh node, as
+    /// one text node.
+    fn flush(&mut self, parent: &NodeHandle) {
         if let Some(t) = self.take() {
-            parent.append_child(&NodeHandle::new_text(parent.arena(), t))?;
+            parent.push_text(t);
         }
-        Ok(())
     }
 }
 
@@ -2151,7 +2152,7 @@ fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResu
     let mut run = TextRun::default();
     let mut seen_non_attr = parent.has_children();
     let adopt = |n: &NodeHandle, run: &mut TextRun| -> XdmResult<()> {
-        run.flush(parent)?;
+        run.flush(parent);
         if graft && n.graftable_into(&arena) {
             parent.graft_child(n)?;
         } else {
@@ -2194,7 +2195,8 @@ fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResu
             }
         }
     }
-    run.flush(parent)
+    run.flush(parent);
+    Ok(())
 }
 
 /// Constructor content is copied — except freshly constructed,

@@ -79,7 +79,7 @@ fn fold_opt_box(engine: &Engine, e: &Option<Box<Expr>>) -> Option<Box<Expr>> {
 
 fn fold_name(engine: &Engine, n: &NameExpr) -> NameExpr {
     match n {
-        NameExpr::Fixed(q) => NameExpr::Fixed(q.clone()),
+        NameExpr::Fixed(q) => NameExpr::Fixed(*q),
         NameExpr::Computed(e) => NameExpr::Computed(fold_box(engine, e)),
     }
 }
@@ -97,13 +97,13 @@ fn fold_steps(engine: &Engine, steps: &[Step]) -> Vec<Step> {
 
 fn fold_direct(engine: &Engine, d: &DirectElement) -> DirectElement {
     DirectElement {
-        name: d.name.clone(),
+        name: d.name,
         attributes: d
             .attributes
             .iter()
             .map(|(n, parts)| {
                 (
-                    n.clone(),
+                    *n,
                     parts
                         .iter()
                         .map(|p| match p {
@@ -171,12 +171,12 @@ pub fn fold_expr(engine: &Engine, e: &Expr) -> Expr {
                 .iter()
                 .map(|c| match c {
                     FlworClause::For { var, pos, source } => FlworClause::For {
-                        var: var.clone(),
-                        pos: pos.clone(),
+                        var: *var,
+                        pos: *pos,
                         source: fold_expr(engine, source),
                     },
                     FlworClause::Let { var, ty, value } => FlworClause::Let {
-                        var: var.clone(),
+                        var: *var,
                         ty: ty.clone(),
                         value: fold_expr(engine, value),
                     },
@@ -198,7 +198,7 @@ pub fn fold_expr(engine: &Engine, e: &Expr) -> Expr {
             quantifier: *quantifier,
             bindings: bindings
                 .iter()
-                .map(|(v, s)| (v.clone(), fold_expr(engine, s)))
+                .map(|(v, s)| (*v, fold_expr(engine, s)))
                 .collect(),
             satisfies: fold_box(engine, satisfies),
         },
@@ -224,7 +224,7 @@ pub fn fold_expr(engine: &Engine, e: &Expr) -> Expr {
             predicates: predicates.iter().map(|p| fold_expr(engine, p)).collect(),
         },
         Expr::FunctionCall { name, args } => Expr::FunctionCall {
-            name: name.clone(),
+            name: *name,
             args: args.iter().map(|a| fold_expr(engine, a)).collect(),
         },
         Expr::DirectElement(d) => {
@@ -245,9 +245,9 @@ pub fn fold_expr(engine: &Engine, e: &Expr) -> Expr {
         Expr::InstanceOf(x, ty) => Expr::InstanceOf(fold_box(engine, x), ty.clone()),
         Expr::TreatAs(x, ty) => Expr::TreatAs(fold_box(engine, x), ty.clone()),
         Expr::CastableAs(x, ty, opt) => {
-            Expr::CastableAs(fold_box(engine, x), ty.clone(), *opt)
+            Expr::CastableAs(fold_box(engine, x), *ty, *opt)
         }
-        Expr::CastAs(x, ty, opt) => Expr::CastAs(fold_box(engine, x), ty.clone(), *opt),
+        Expr::CastAs(x, ty, opt) => Expr::CastAs(fold_box(engine, x), *ty, *opt),
         // Updating expressions: fold operands, keep structure.
         Expr::Insert { source, pos, target } => Expr::Insert {
             source: fold_box(engine, source),
@@ -267,7 +267,7 @@ pub fn fold_expr(engine: &Engine, e: &Expr) -> Expr {
         Expr::Transform { copies, modify, ret } => Expr::Transform {
             copies: copies
                 .iter()
-                .map(|(v, x)| (v.clone(), fold_expr(engine, x)))
+                .map(|(v, x)| (*v, fold_expr(engine, x)))
                 .collect(),
             modify: fold_box(engine, modify),
             ret: fold_box(engine, ret),
@@ -286,7 +286,7 @@ pub fn resolve_bindings(
 ) -> HashMap<(QName, usize), ResolvedBinding> {
     let mut out = HashMap::new();
     collect_calls(e, &mut |name, arity| {
-        let key = (name.clone(), arity);
+        let key = (*name, arity);
         if out.contains_key(&key) {
             return;
         }

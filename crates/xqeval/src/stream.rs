@@ -199,7 +199,7 @@ impl Pipeline {
                     ty.check(&v, &format!("let ${var}"))?;
                 }
                 env.push_scope();
-                env.bind(var.clone(), v);
+                env.bind(*var, v);
                 self.depth = i + 1;
                 Ok(true)
             }
@@ -273,7 +273,7 @@ impl Pipeline {
         loop {
             let tuple = names
                 .iter()
-                .map(|n| Ok((n.clone(), env.lookup(n)?)))
+                .map(|n| Ok((*n, env.lookup(n)?)))
                 .collect::<XdmResult<Tuple>>()?;
             rows.push((tuple, per_tuple(env)?));
             let more = match self.backtrack(clauses, env)? {
@@ -360,7 +360,7 @@ impl Pipeline {
             let Some(resp) = responses.get(if closed { 0 } else { k }) else { break };
             for item in resp.iter() {
                 let mut t = tuple.clone();
-                t.push((var.clone(), Sequence::one(item.clone())));
+                t.push((*var, Sequence::one(item.clone())));
                 tuples.push(t);
             }
         }
@@ -419,16 +419,16 @@ fn sub_eval(ev: &Evaluator<'_>, e: &Expr, env: &mut Env, lazy: bool) -> XdmResul
 /// item.
 fn bind_for(env: &mut Env, clause: &FlworClause, item: Item, position: usize) {
     if let FlworClause::For { var, pos, .. } = clause {
-        env.bind(var.clone(), Sequence::one(item));
+        env.bind(*var, Sequence::one(item));
         if let Some(p) = pos {
-            env.bind(p.clone(), Sequence::one(Item::integer(position as i64)));
+            env.bind(*p, Sequence::one(Item::integer(position as i64)));
         }
     }
 }
 
 fn bind_tuple(env: &mut Env, tuple: &Tuple) {
     for (name, value) in tuple {
-        env.bind(name.clone(), value.clone());
+        env.bind(*name, value.clone());
     }
 }
 
@@ -443,7 +443,7 @@ fn bound_names(clauses: &[FlworClause]) -> Vec<QName> {
         };
         for v in vars.into_iter().flatten() {
             if !names.contains(v) {
-                names.push(v.clone());
+                names.push(*v);
             }
         }
     }

@@ -972,7 +972,7 @@ fn rebinding_external_variable_is_seen_by_cached_plans() {
     // frozen at prepare time.
     let engine = Engine::new();
     let x = QName::new("x");
-    engine.set_global(x.clone(), Sequence::one(Item::integer(1)));
+    engine.set_global(x, Sequence::one(Item::integer(1)));
     let src = "declare variable $x external; $x + 0";
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "1");
     engine.set_global(x, Sequence::one(Item::integer(2)));
@@ -988,7 +988,7 @@ fn cached_plans_mix_initialized_and_external_variables() {
     // on a hit; external ones read through — both in one prolog.
     let engine = Engine::new();
     let p = QName::new("p");
-    engine.set_global(p.clone(), Sequence::one(Item::integer(10)));
+    engine.set_global(p, Sequence::one(Item::integer(10)));
     let src = "declare variable $k := 7; declare variable $p external; $k + $p";
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "17");
     engine.set_global(p, Sequence::one(Item::integer(20)));
@@ -1280,7 +1280,7 @@ fn pipeline_engine(n: usize) -> Engine {
     };
     let rating = QName::with_ns("urn:db", "rating");
     engine.register_external_function(
-        rating.clone(),
+        rating,
         1,
         Rc::new(move |_env, args| Ok(rate(&args[0]))),
     );

@@ -692,8 +692,8 @@ mod tests {
     #[test]
     fn node_test_name_matching() {
         let q = QName::with_ns("urn:x", "a");
-        assert!(NodeTest::Name(q.clone()).matches_name(Some(&q)));
-        assert!(!NodeTest::Name(q.clone()).matches_name(Some(&QName::new("a"))));
+        assert!(NodeTest::Name(q).matches_name(Some(&q)));
+        assert!(!NodeTest::Name(q).matches_name(Some(&QName::new("a"))));
         assert!(NodeTest::AnyName.matches_name(Some(&q)));
         assert!(NodeTest::AnyNs("a".into()).matches_name(Some(&q)));
         assert!(!NodeTest::AnyNs("b".into()).matches_name(Some(&q)));

@@ -44,4 +44,4 @@ pub mod unparse;
 mod tests;
 
 pub use ast::*;
-pub use parser::{parse_expr, parse_module};
+pub use parser::{parse_expr, parse_module, MAX_NESTING_DEPTH};

@@ -23,6 +23,16 @@ use crate::lexer::{Lexer, Tok, Token};
 /// The `local:` namespace for main-module local functions.
 pub const LOCAL_NS: &str = "http://www.w3.org/2005/xquery-local-functions";
 
+/// How deeply expressions, direct element constructors and statement
+/// blocks may nest in query text. The parser recurses once per nesting
+/// level, so deeper text is rejected with `err:XPST0003` rather than
+/// overflowing the stack. A parenthesized expression is the costliest
+/// level: it passes through about twenty grammar functions, about
+/// 73 KB of stack in an unoptimized build, so at this depth such a
+/// parse fits the default 8 MB main-thread stack with room to spare
+/// (it overflowed at about 110 levels).
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse a complete module (prolog + query body).
 pub fn parse_module(src: &str) -> XdmResult<Module> {
     Parser::new(src, &[]).parse_module()
@@ -44,6 +54,8 @@ pub(crate) struct Parser<'a> {
     pub(crate) default_element_ns: Option<String>,
     pub(crate) default_function_ns: String,
     pub(crate) boundary_space_preserve: bool,
+    /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -64,6 +76,7 @@ impl<'a> Parser<'a> {
             default_element_ns: None,
             default_function_ns: FN_NS.to_string(),
             boundary_space_preserve: false,
+            depth: 0,
         }
     }
 
@@ -115,6 +128,25 @@ impl<'a> Parser<'a> {
     fn err_here(&mut self, msg: impl Into<String>) -> XdmError {
         let pos = self.peek().map(|t| t.start).unwrap_or(0);
         self.err_at(pos, msg)
+    }
+
+    /// Run `f` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING_DEPTH`].
+    pub(crate) fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> XdmResult<T>,
+    ) -> XdmResult<T> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            let pos = self.lx.pos();
+            return Err(self.err_at(
+                pos,
+                format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     pub(crate) fn expect_tok(&mut self, tok: Tok) -> XdmResult<Token> {
@@ -386,6 +418,10 @@ impl<'a> Parser<'a> {
     }
 
     pub(crate) fn parse_expr_single(&mut self) -> XdmResult<Expr> {
+        self.nested(Self::parse_expr_single_unnested)
+    }
+
+    fn parse_expr_single_unnested(&mut self) -> XdmResult<Expr> {
         // Keyword-led expression forms (keywords are contextual).
         let t = self.peek()?.clone();
         if let Tok::Name(None, kw) = &t.tok {
@@ -633,12 +669,12 @@ impl<'a> Parser<'a> {
         match self.peek()?.tok {
             Tok::Minus => {
                 self.next()?;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary(true, Box::new(e)))
             }
             Tok::Plus => {
                 self.next()?;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary(false, Box::new(e)))
             }
             _ => self.parse_path(),
@@ -1333,7 +1369,7 @@ impl<'a> Parser<'a> {
                 Some(Box::new(Expr::str(content))),
             ));
         }
-        let elem = self.parse_direct_element()?;
+        let elem = self.nested(Self::parse_direct_element)?;
         Ok(Expr::DirectElement(Box::new(elem)))
     }
 
@@ -1618,7 +1654,7 @@ impl<'a> Parser<'a> {
                 out.push(DirectContent::Pi(target, c));
             } else if rest.starts_with('<') {
                 flush(&mut text, out, self.boundary_space_preserve);
-                let child = self.parse_direct_element()?;
+                let child = self.nested(Self::parse_direct_element)?;
                 out.push(DirectContent::Element(Box::new(child)));
             } else if rest.starts_with("{{") {
                 text.push('{');

@@ -223,6 +223,10 @@ impl<'a> Parser<'a> {
     /// BLOCK ::= "{" (BlockDecl ";")* ((SimpleStatement ";") |
     ///            BlockStatement (";")?)* "}"
     pub(crate) fn parse_block(&mut self) -> XdmResult<Block> {
+        self.nested(Self::parse_block_unnested)
+    }
+
+    fn parse_block_unnested(&mut self) -> XdmResult<Block> {
         self.expect_tok(Tok::LBrace)?;
         let mut block = Block::default();
         // Leading block variable declarations.

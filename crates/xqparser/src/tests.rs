@@ -975,3 +975,49 @@ fn error_positions_include_line_numbers() {
     let err = parse_module("1 +\n+\n]").unwrap_err();
     assert!(err.message.contains("parse error at"), "{}", err.message);
 }
+
+/// Parse `src` on a thread with the default 8 MB main-thread stack,
+/// which the nesting limit is sized for; an error comes back as its
+/// message, with whether it is `err:XPST0003`.
+fn parse_on_main_sized_stack(src: String) -> Result<(), (bool, String)> {
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || {
+            parse_module(&src)
+                .map(drop)
+                .map_err(|e| (e.is(xdm::error::ErrorCode::XPST0003), e.message))
+        })
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn nesting_is_bounded_at_max_nesting_depth() {
+    use crate::MAX_NESTING_DEPTH as MAX;
+    let nested = |open: &str, inner: &str, close: &str, n: usize| {
+        format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+    };
+    // Each parenthesis, unary minus, direct element and block is one
+    // level, and an expression body is one more (a block body is its
+    // own outermost block).
+    let shapes = [
+        ("(", "1", ")", MAX - 1),
+        ("-", "1", "", MAX - 1),
+        ("<a>", "", "</a>", MAX - 1),
+        ("{", "", "}", MAX),
+    ];
+    for (open, inner, close, deepest) in shapes {
+        let at_limit = nested(open, inner, close, deepest);
+        assert_eq!(parse_on_main_sized_stack(at_limit), Ok(()), "{open}…{close} at the limit");
+        let past = nested(open, inner, close, deepest + 1);
+        let (is_xpst0003, message) = parse_on_main_sized_stack(past).unwrap_err();
+        assert!(is_xpst0003, "{open}…{close}: {message}");
+        assert!(message.contains("nesting deeper than"), "{message}");
+    }
+    // Far past the limit the parser stops at the limit, never
+    // overflowing the stack.
+    let (is_xpst0003, _) =
+        parse_on_main_sized_stack(nested("(", "1", ")", 200_000)).unwrap_err();
+    assert!(is_xpst0003);
+}

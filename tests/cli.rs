@@ -231,3 +231,29 @@ fn deep_recursion_raises_xqse0007() {
     assert!(ok, "{stderr}");
     assert_eq!(stdout.trim(), "900");
 }
+
+/// Query text nested far past `xqparser::MAX_NESTING_DEPTH` is a
+/// static error, not a stack overflow.
+#[test]
+fn deeply_nested_query_text_raises_xpst0003() {
+    let n = 200_000;
+    let (_, stderr, ok) = run_stdin(&[], &format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+    assert!(!ok);
+    assert!(stderr.contains("XPST0003"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+/// A `--doc` nested far past `xmlparse::MAX_ELEMENT_DEPTH` is refused
+/// as not well-formed, not a stack overflow.
+#[test]
+fn deeply_nested_document_is_refused_as_not_well_formed() {
+    let n = 200_000;
+    let path = std::env::temp_dir().join(format!("xqsh-deep-{}.xml", std::process::id()));
+    std::fs::write(&path, format!("{}{}", "<a>".repeat(n), "</a>".repeat(n))).expect("write doc");
+    let doc = format!("urn:deep={}", path.display());
+    let (_, stderr, ok) = run_stdin(&["--doc", &doc], "fn:count(fn:doc('urn:deep')//a)");
+    let _ = std::fs::remove_file(&path);
+    assert!(!ok);
+    assert!(stderr.contains("FORG0001"), "{stderr}");
+    assert!(stderr.contains("nested deeper than"), "{stderr}");
+}

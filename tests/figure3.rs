@@ -58,14 +58,14 @@ fn getprofile_matches_brute_force_oracle() {
         let got_orders: Vec<i64> = inst
             .children()
             .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some("Orders"))
+            .find(|c| c.name().map(|q| q.local).as_deref() == Some("Orders"))
             .unwrap()
             .children()
             .iter()
             .map(|o| {
                 o.children()
                     .iter()
-                    .find(|x| x.name().map(|q| q.local.clone()).as_deref() == Some("OID"))
+                    .find(|x| x.name().map(|q| q.local).as_deref() == Some("OID"))
                     .unwrap()
                     .string_value()
                     .parse()
@@ -76,7 +76,7 @@ fn getprofile_matches_brute_force_oracle() {
         let got_cards: Vec<i64> = inst
             .children()
             .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some("CreditCards"))
+            .find(|c| c.name().map(|q| q.local).as_deref() == Some("CreditCards"))
             .unwrap()
             .children()
             .iter()
@@ -84,7 +84,7 @@ fn getprofile_matches_brute_force_oracle() {
                 o.children()
                     .iter()
                     .find(|x| {
-                        x.name().map(|q| q.local.clone()).as_deref() == Some("CCID")
+                        x.name().map(|q| q.local).as_deref() == Some("CCID")
                     })
                     .unwrap()
                     .string_value()

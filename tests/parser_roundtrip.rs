@@ -57,7 +57,7 @@ fn closed_expr() -> impl Strategy<Value = Expr> {
             (var_name(), inner.clone(), inner.clone()).prop_map(|(v, src, ret)| {
                 Expr::Flwor {
                     clauses: vec![FlworClause::For {
-                        var: v.clone(),
+                        var: v,
                         pos: None,
                         source: Box::new(src).as_ref().clone(),
                     }],
@@ -68,7 +68,7 @@ fn closed_expr() -> impl Strategy<Value = Expr> {
             (var_name(), inner.clone(), inner.clone()).prop_map(|(v, src, sat)| {
                 Expr::Quantified {
                     quantifier: Quantifier::Some,
-                    bindings: vec![(v.clone(), src)],
+                    bindings: vec![(v, src)],
                     satisfies: Box::new(Expr::General(
                         GeneralComp::Eq,
                         Box::new(Expr::VarRef(v)),
